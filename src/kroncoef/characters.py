@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import Partition, enumerate_partitions, z_of
+from .partitions import Partition, conjugate, enumerate_partitions, z_of
 
 
 class SizeMismatch(ValueError):
@@ -92,8 +92,14 @@ def character(lam: Partition, rho: Partition) -> int:
 
 
 def dimension(lam: Partition) -> int:
-    """Dimension of the irreducible indexed by lam (character at the identity)."""
-    return _char(lam.parts, (1,) * lam.n)
+    """Dimension of the irreducible indexed by lam (character at the identity),
+    by the hook-length formula n! / prod of the hook lengths."""
+    columns = conjugate(lam).parts
+    hooks = 1
+    for i, row in enumerate(lam.parts):
+        for j in range(row):
+            hooks *= row - j + columns[j] - i - 1
+    return math.factorial(lam.n) // hooks
 
 
 @lru_cache(maxsize=None)

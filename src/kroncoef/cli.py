@@ -26,6 +26,7 @@ from .closed_forms import (
     AUTO,
     METHODS,
     HypothesisNotMet,
+    InvariantViolation,
     NoClosedFormApplicable,
     compute,
     kron_hook_tworow,
@@ -236,7 +237,8 @@ def cmd_table(n, family, fmt):
         writer.writerow(["lambda", "mu", "nu", "gamma", "provenance"])
     for lam, mu, nu in _family_triples(n, family):
         result = compute(lam, mu, nu, AUTO)
-        assert result.gamma >= 0
+        if result.gamma < 0:
+            raise InvariantViolation(f"negative coefficient for ({lam}; {mu}; {nu}): {result}")
         if fmt == "json":
             click.echo(json.dumps(_result_record(lam, mu, nu, result, 0)))
         elif fmt == "csv":

@@ -9,6 +9,8 @@ and conjugating any two of the three shapes simultaneously.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .characters import (
     DELTA_RULE,
@@ -48,6 +50,14 @@ class HypothesisNotMet(Exception):
     it never escapes compute()."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed, such as a negative coefficient.
+
+    Only an implementation bug can cause this, never valid input.  It is
+    raised rather than asserted so that the check also runs under python -O.
+    """
+
+
 @dataclass(frozen=True)
 class NormalizedTriple:
     """A symmetry variant of an input triple together with the moves that
@@ -62,6 +72,12 @@ class NormalizedTriple:
 def _check_sizes(lam: Partition, mu: Partition, nu: Partition) -> None:
     if not (lam.n == mu.n == nu.n):
         raise SizeMismatch(f"sizes differ: |{lam}|={lam.n}, |{mu}|={mu.n}, |{nu}|={nu.n}")
+
+
+def _nonnegative(gamma: int, lam: Partition, mu: Partition, nu: Partition) -> int:
+    if gamma < 0:
+        raise InvariantViolation(f"negative coefficient {gamma} for ({lam}; {mu}; {nu})")
+    return gamma
 
 
 def kron_two_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -95,8 +111,7 @@ def kron_two_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     gamma = gamma_region_closed(a, b, a + b + 1, c, x, y) - gamma_region_closed(
         a, b, a + b + c + d + 2, c, x, y
     )
-    assert gamma >= 0, (lam, mu, nu, gamma)
-    return gamma
+    return _nonnegative(gamma, lam, mu, nu)
 
 
 def kron_tworow_corollary(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -235,7 +250,8 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
             return kron_two_hooks(lam, mu, nu)  # all three shapes are hooks
         return 1 if lam == mu else 0  # nu one-row
     dh = double_hook_parts(lam)
-    assert dh is not None  # remaining shapes are double hooks by elimination
+    if dh is None:  # remaining shapes are double hooks by elimination
+        raise InvariantViolation(f"lam escaped the case split of the hook/two-row formula: {lam}")
     d1, d2, n3, n4 = dh
     if n4 - n3 > d1:
         return kron_hook_tworow(conjugate(lam), conjugate(mu), nu)
@@ -245,8 +261,7 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     third = 1 if n3 <= nu2 - d2 + 1 <= n4 and lo < e1 < lo + 3 else 0
     correction = 1 if n3 + d2 + d1 == nu2 and lo + 1 <= e1 <= lo + 2 else 0
     gamma = first + second + third - correction
-    assert gamma >= 0, (lam, mu, nu, gamma)
-    return gamma
+    return _nonnegative(gamma, lam, mu, nu)
 
 
 _PERMUTATIONS: tuple[tuple[int, int, int], ...] = (
@@ -259,24 +274,84 @@ _PERMUTATIONS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def _variants(lam: Partition, mu: Partition, nu: Partition):
+class _Variant(NamedTuple):
+    """One entry of the symmetry table: the sources of the three slots as
+    indices into (lam, mu, nu, lam', mu', nu'), and the moves they record."""
+
+    sources: tuple[int, int, int]
+    moves: tuple[str, ...]
+
+
+def _build_variants() -> tuple[_Variant, ...]:
     """All 24 symmetry variants in the documented deterministic order:
     the plain permutations first (identity leading), then each
     pairwise-conjugation pattern crossed with the permutations."""
-    original = (lam, mu, nu)
-    conjugated = (conjugate(lam), conjugate(mu), conjugate(nu))
+    table = []
     for pattern in _CONJ_PATTERNS:
         for perm in _PERMUTATIONS:
-            triple = [original[s] for s in perm]
+            sources = list(perm)
             moves: tuple[str, ...] = ()
             if perm != (0, 1, 2):
                 moves += (f"permute({perm[0]},{perm[1]},{perm[2]})",)
             if pattern is not None:
                 i, j = pattern
-                triple[i] = conjugated[perm[i]]
-                triple[j] = conjugated[perm[j]]
+                sources[i] += 3
+                sources[j] += 3
                 moves += (f"conjugate({i},{j})",)
-            yield NormalizedTriple(triple[0], triple[1], triple[2], moves)
+            table.append(_Variant(tuple(sources), moves))
+    return tuple(table)
+
+
+_VARIANTS = _build_variants()
+
+# Shape class bits, as _try_closed tests them: at most one row (len <= 1),
+# two_row_parts not None, hook_parts not None.  A shape's code carries its
+# own classes in bits 0-2 and its conjugate's in bits 9-11, so the signature
+# code(lam) | code(mu) << 3 | code(nu) << 6 holds the classes of source s of
+# (lam, mu, nu, lam', mu', nu') in bits 3s to 3s+2.
+_ONE_ROW = 1
+_TWO_ROW = 2
+_HOOK = 4
+_CONJ_SHIFT = 9
+
+
+def _shape_code(parts: tuple[int, ...]) -> int:
+    """Class bits of a shape and of its conjugate, read from the parts alone:
+    the conjugate has one row iff lam1 = 1, at most two rows iff lam1 <= 2,
+    and is a hook iff the shape is.  The empty shape and its conjugate read
+    as one-row and nothing else."""
+    if not parts:
+        return _ONE_ROW | _ONE_ROW << _CONJ_SHIFT
+    first = parts[0]
+    length = len(parts)
+    code = 0
+    if length == 1:
+        code |= _ONE_ROW
+    if length <= 2:
+        code |= _TWO_ROW
+    if length >= 2 and first >= 2 and parts[1] == 1:  # parts decrease: all the rest are 1
+        code |= _HOOK | _HOOK << _CONJ_SHIFT
+    if first == 1:
+        code |= _ONE_ROW << _CONJ_SHIFT
+    if first <= 2:
+        code |= _TWO_ROW << _CONJ_SHIFT
+    return code
+
+
+@lru_cache(maxsize=None)  # keys are 18-bit signatures
+def _candidates(signature: int) -> tuple[_Variant, ...]:
+    """The variants whose slot classes pass _try_closed's class tests, in
+    table order, ending at the first one bound for the delta rule or the
+    two-row pair formula: those two cannot fail."""
+    found = []
+    for variant in _VARIANTS:
+        lam, mu, nu = (signature >> 3 * s & 7 for s in variant.sources)
+        certain = lam & _ONE_ROW or mu & nu & _TWO_ROW
+        if certain or (mu & _HOOK and nu & (_HOOK | _TWO_ROW)):
+            found.append(variant)
+            if certain:
+                break
+    return tuple(found)
 
 
 def undo_moves(triple: NormalizedTriple) -> tuple[Partition, Partition, Partition]:
@@ -320,9 +395,12 @@ def _try_closed(variant: NormalizedTriple) -> KroneckerResult | None:
 def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) -> KroneckerResult:
     """Kronecker coefficient of a triple, routed to the cheapest correct method.
 
-    auto: walk the symmetry variants in their documented order and use the
-    first one whose (mu, nu) classes match a closed form with all hypotheses
-    satisfied, falling back to the character oracle when none does.
+    auto: use the first symmetry variant, in the documented order, whose
+    (mu, nu) classes match a closed form with all hypotheses satisfied,
+    falling back to the character oracle when none does.  The classes of the
+    six shapes (lam, mu, nu and their conjugates) are read once; their
+    signature looks up the variants whose classes can match, and only those
+    are tried, conjugating only the shapes they use.
     closed: like auto but raise NoClosedFormApplicable instead of falling back.
     oracle: always evaluate the character sum.
 
@@ -333,10 +411,16 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     _check_sizes(lam, mu, nu)
     if method == ORACLE_ONLY:
         return kron_oracle(lam, mu, nu)
-    for variant in _variants(lam, mu, nu):
-        result = _try_closed(variant)
+    signature = _shape_code(lam.parts) | _shape_code(mu.parts) << 3 | _shape_code(nu.parts) << 6
+    shapes = [lam, mu, nu, None, None, None]
+    for sources, moves in _candidates(signature):
+        for s in sources:
+            if shapes[s] is None:
+                shapes[s] = conjugate(shapes[s - 3])
+        a, b, c = sources
+        result = _try_closed(NormalizedTriple(shapes[a], shapes[b], shapes[c], moves))
         if result is not None:
-            assert result.gamma >= 0, (lam, mu, nu, result)
+            _nonnegative(result.gamma, lam, mu, nu)
             return result
     if method == CLOSED_ONLY:
         raise NoClosedFormApplicable(f"no closed form matches any variant of ({lam}; {mu}; {nu})")

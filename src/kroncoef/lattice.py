@@ -1,5 +1,5 @@
 """Lattice-point counting primitives: the reachability cone, the rectangle
-count sigma, the translated rectangle count Gamma, and diamond membership.
+count sigma and the translated rectangle count Gamma.
 
 Coordinates are matrix style: point (i, j) sits in row i, column j, and (0, 0)
 is the upper-left corner.  Every closed form here has a literal brute-force
@@ -19,8 +19,6 @@ A note on orientation, because the two counting families genuinely differ:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def reachable(p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -110,25 +108,3 @@ def gamma_region_closed(a: int, b: int, c: int, d: int, x: int, y: int) -> int:
         return _gamma_formula(a, b, c, d, x, y)
     return gamma_region_bruteforce(a, b, c, d, x, y)
 
-
-@dataclass(frozen=True)
-class DiamondRegion:
-    """45-degree rectangle with vertices (a,b), (b,a), (c,d), (d,c);
-    requires a >= b, c >= d, c >= a and d >= b."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if not (self.a >= self.b and self.c >= self.d and self.c >= self.a and self.d >= self.b):
-            raise ValueError(f"not a valid diamond: {(self.a, self.b, self.c, self.d)}")
-
-
-def diamond_contains(region: DiamondRegion, u: int, v: int) -> bool:
-    """Membership test |v - u| <= a - b and a + b <= u + v <= c + d."""
-    return (
-        abs(v - u) <= region.a - region.b
-        and region.a + region.b <= u + v <= region.c + region.d
-    )

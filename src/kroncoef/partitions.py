@@ -1,24 +1,14 @@
-"""Integer partitions and the shape taxonomy that drives formula dispatch."""
+"""Integer partitions and the structural readers (two-row, hook, double hook)
+that the closed formulas consume."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
 class NegativePart(ValueError):
     """Partition input contained a negative entry."""
-
-
-# Classification tags, listed in dispatch priority order.
-ONE_ROW = "OneRow"
-SINGLE_COLUMN = "SingleColumn"
-TWO_ROW = "TwoRow"
-HOOK = "Hook"
-DOUBLE_HOOK = "DoubleHook"
-AT_MOST_FOUR_ROWS = "AtMostFourRows"
-GENERAL = "General"
 
 
 class Partition:
@@ -89,27 +79,6 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(sum(1 for p in lam.parts if p >= i) for i in range(1, lam.parts[0] + 1))
 
 
-@dataclass(frozen=True)
-class ShapeClass:
-    """Most specific shape tag for a partition, with the tag's parameters.
-
-    Parameters by tag: Hook carries (e, m) = (leg length, arm row);
-    TwoRow carries (p1, p2); DoubleHook carries (d1, d2, n3, n4) reading the
-    shape as d1 ones, d2 twos, then the top two rows n3 <= n4.  Unused
-    parameters stay None.
-    """
-
-    tag: str
-    e: int | None = None
-    m: int | None = None
-    p1: int | None = None
-    p2: int | None = None
-    d1: int | None = None
-    d2: int | None = None
-    n3: int | None = None
-    n4: int | None = None
-
-
 def two_row_parts(lam: Partition) -> tuple[int, int] | None:
     """(p1, p2) when lam has at most two parts (a one-row shape reads as (n, 0))."""
     if len(lam) > 2 or lam.n == 0:
@@ -148,32 +117,6 @@ def double_hook_parts(lam: Partition) -> tuple[int, int, int, int] | None:
     d1 = sum(1 for x in p if x == 1)
     d2 = sum(1 for x in p[2:] if x == 2)
     return d1, d2, p[1], p[0]
-
-
-def classify(lam: Partition) -> ShapeClass:
-    """Most specific tag in the priority order
-    OneRow > SingleColumn > TwoRow > Hook > DoubleHook > AtMostFourRows > General.
-
-    The classes overlap as plain shape predicates (every two-row shape is also
-    a double hook, (n) is a degenerate hook, ...); the fixed order makes
-    dispatch deterministic.  The empty partition classifies as OneRow.
-    """
-    p = lam.parts
-    if len(p) <= 1:
-        return ShapeClass(ONE_ROW)
-    if p[0] == 1:
-        return ShapeClass(SINGLE_COLUMN)
-    if len(p) == 2:
-        return ShapeClass(TWO_ROW, p1=p[0], p2=p[1])
-    hk = hook_parts(lam)
-    if hk is not None:
-        return ShapeClass(HOOK, e=hk[0], m=hk[1])
-    dh = double_hook_parts(lam)
-    if dh is not None:
-        return ShapeClass(DOUBLE_HOOK, d1=dh[0], d2=dh[1], n3=dh[2], n4=dh[3])
-    if len(p) <= 4:
-        return ShapeClass(AT_MOST_FOUR_ROWS)
-    return ShapeClass(GENERAL)
 
 
 def z_of(lam: Partition) -> int:

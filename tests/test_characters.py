@@ -12,6 +12,7 @@ from kroncoef import (
     kron_oracle,
     make_partition,
 )
+from kroncoef.characters import _char
 
 
 def test_trivial_character_is_one():
@@ -57,6 +58,17 @@ def test_dimensions():
     for n in range(1, 9):
         assert sum(dimension(lam) ** 2 for lam in enumerate_partitions(n)) == math.factorial(n)
         assert all(dimension(lam) > 0 for lam in enumerate_partitions(n))
+
+
+def test_dimension_matches_character_at_identity():
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            assert dimension(lam) == _char(lam.parts, (1,) * n), lam
+
+
+def test_dimension_of_large_rectangle_is_catalan():
+    # the 2 x 600 rectangle counts Dyck paths: the Catalan number C_600
+    assert dimension(make_partition([600, 600])) == math.comb(1200, 600) // 601
 
 
 def test_column_orthogonality():

@@ -4,7 +4,10 @@ import json
 
 from click.testing import CliRunner
 
+from kroncoef import cli
+from kroncoef.characters import ORACLE, KroneckerResult
 from kroncoef.cli import main, run_sweep
+from kroncoef.closed_forms import InvariantViolation
 
 
 def invoke(*args):
@@ -103,6 +106,11 @@ class TestTableCommand:
                 "--format", "json",
             )
             assert json.loads(again.output)["gamma"] == record["gamma"]
+
+    def test_negative_row_raises(self, monkeypatch):
+        monkeypatch.setattr(cli, "compute", lambda lam, mu, nu, method: KroneckerResult(-1, ORACLE))
+        result = invoke("table", "--n", "2", "--format", "csv")
+        assert isinstance(result.exception, InvariantViolation)
 
 
 class TestVerifyCommand:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from kroncoef import (
@@ -24,7 +28,8 @@ from kroncoef import (
     two_row_parts,
     undo_moves,
 )
-from kroncoef.closed_forms import NormalizedTriple, _variants
+from kroncoef import closed_forms
+from kroncoef.closed_forms import _VARIANTS, InvariantViolation, NormalizedTriple
 
 
 def oracle(lam, mu, nu):
@@ -37,6 +42,13 @@ def hooks_of(n):
 
 def two_rows_of(n):
     return [p for p in enumerate_partitions(n) if two_row_parts(p) is not None]
+
+
+def table_variants(lam, mu, nu):
+    """Every entry of the symmetry table applied to the triple."""
+    shapes = (lam, mu, nu, conjugate(lam), conjugate(mu), conjugate(nu))
+    for sources, moves in _VARIANTS:
+        yield NormalizedTriple(*(shapes[s] for s in sources), moves)
 
 
 class TestTwoTwoRow:
@@ -279,7 +291,7 @@ class TestCompute:
         ]
         for lam, mu, nu in triples:
             result = compute(lam, mu, nu, AUTO)
-            for variant in _variants(lam, mu, nu):
+            for variant in table_variants(lam, mu, nu):
                 if variant.moves == result.moves:
                     assert undo_moves(variant) == (lam, mu, nu)
                     break
@@ -291,7 +303,7 @@ class TestCompute:
         mu = make_partition([3, 2, 2])
         nu = make_partition([5, 1, 1])
         seen = set()
-        for variant in _variants(lam, mu, nu):
+        for variant in table_variants(lam, mu, nu):
             assert isinstance(variant, NormalizedTriple)
             assert undo_moves(variant) == (lam, mu, nu)
             seen.add((variant.lam.parts, variant.mu.parts, variant.nu.parts, variant.moves))
@@ -354,3 +366,40 @@ class TestCompute:
                         assert closed == expected, (lam, mu, nu)
         assert compute(make_partition([2, 1]), make_partition([2, 1]),
                        make_partition([2, 1]), ORACLE_ONLY).gamma == 1
+
+
+class TestInvariants:
+    """gamma >= 0 and the hook/two-row case split raise, even under python -O."""
+
+    def test_negative_kernel_value_raises(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "kron_two_tworow", lambda lam, mu, nu: -1)
+        with pytest.raises(InvariantViolation):
+            compute(make_partition([4, 3, 1]), make_partition([6, 2]), make_partition([5, 3]))
+
+    def test_negative_two_row_difference_raises(self, monkeypatch):
+        # Gamma growing with the region height makes the difference negative
+        monkeypatch.setattr(closed_forms, "gamma_region_closed", lambda a, b, h, c, x, y: h)
+        with pytest.raises(InvariantViolation):
+            kron_two_tworow(make_partition([4, 3, 1]), make_partition([6, 2]),
+                            make_partition([5, 3]))
+
+    def test_hook_tworow_case_split_raises(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "double_hook_parts", lambda lam: None)
+        with pytest.raises(InvariantViolation):
+            kron_hook_tworow(make_partition([3, 2, 1]), make_partition([4, 1, 1]),
+                             make_partition([4, 2]))
+
+    def test_check_survives_optimize_flag(self):
+        script = (
+            "from kroncoef import closed_forms, make_partition\n"
+            "closed_forms.kron_two_tworow = lambda lam, mu, nu: -1\n"
+            "try:\n"
+            "    closed_forms.compute(*(make_partition(p) for p in ([4, 3, 1], [6, 2], [5, 3])))\n"
+            "except closed_forms.InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(closed_forms.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "raised"

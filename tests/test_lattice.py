@@ -1,8 +1,6 @@
 import pytest
 
 from kroncoef import (
-    DiamondRegion,
-    diamond_contains,
     gamma_region_bruteforce,
     gamma_region_closed,
     reachable,
@@ -138,44 +136,3 @@ def test_reachable_agrees_with_bfs():
         got = {(u, v) for u in range(6) for v in range(8) if reachable((0, h), (u, v))}
         assert got == expected
 
-
-class TestDiamond:
-    def test_vertex_is_inside(self):
-        region = DiamondRegion(4, 2, 6, 3)
-        assert diamond_contains(region, 4, 2)
-
-    def test_symmetry_in_u_v(self):
-        region = DiamondRegion(4, 1, 5, 4)
-        for u in range(9):
-            for v in range(9):
-                assert diamond_contains(region, u, v) == diamond_contains(region, v, u)
-
-    def test_documented_square_example(self):
-        region = DiamondRegion(2, 1, 3, 3)  # the (a, b; e) shorthand with e = 3
-        assert diamond_contains(region, 3, 2)
-        assert not diamond_contains(region, 4, 1)
-
-    def test_invalid_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            DiamondRegion(1, 2, 3, 3)  # a < b
-        with pytest.raises(ValueError):
-            DiamondRegion(4, 1, 3, 2)  # c < a
-
-    def test_membership_matches_enumerated_hull(self):
-        regions = [
-            DiamondRegion(2, 1, 3, 3),
-            DiamondRegion(4, 2, 6, 3),
-            DiamondRegion(3, 3, 8, 5),
-            DiamondRegion(5, 0, 9, 4),
-        ]
-        for region in regions:
-            hull = {
-                (u, v)
-                for u in range(21)
-                for v in range(21)
-                if abs(v - u) <= region.a - region.b
-                and region.a + region.b <= u + v <= region.c + region.d
-            }
-            for u in range(21):
-                for v in range(21):
-                    assert diamond_contains(region, u, v) == ((u, v) in hull)
