@@ -25,7 +25,6 @@ from .characters import SizeMismatch, kron_oracle
 from .closed_forms import (
     AUTO,
     METHODS,
-    HypothesisNotMet,
     InvariantViolation,
     NoClosedFormApplicable,
     compute,
@@ -143,18 +142,14 @@ def _family_triples(n, family):
 
 
 def _closed_value(family, lam, mu, nu):
-    """The family's closed form, with the dispatcher's oracle fallback when a
-    hook hypothesis is unreachable."""
-    try:
-        if family == "two-row":
-            return kron_two_tworow(lam, mu, nu)
-        if family == "hook-hook":
-            return kron_two_hooks(lam, mu, nu)
-        if family == "hook-two-row":
-            return kron_hook_tworow(lam, mu, nu)
-        return compute(lam, mu, nu, AUTO).gamma
-    except HypothesisNotMet:
-        return kron_oracle(lam, mu, nu).gamma
+    """The family's closed form; the family "all" goes through compute."""
+    if family == "two-row":
+        return kron_two_tworow(lam, mu, nu)
+    if family == "hook-hook":
+        return kron_two_hooks(lam, mu, nu)
+    if family == "hook-two-row":
+        return kron_hook_tworow(lam, mu, nu)
+    return compute(lam, mu, nu, AUTO).gamma
 
 
 @dataclass
@@ -293,7 +288,7 @@ def _selftest_checks(seed):
         lattice.gamma_region_closed(a, b, c, d, x, y)
         == lattice.gamma_region_bruteforce(a, b, c, d, x, y)
         for a in range(4) for b in range(4) for c in range(4) for d in range(4)
-        for x in range(a + b + c + d + 5) for y in range(x + 1)
+        for x in range(a + b + c + d + 5) for y in range(a + b + c + d + 8)
     )
     parity = all(
         kron_two_tworow(Partition((l, l)), Partition((l, l)), Partition((l, l)))

@@ -45,9 +45,8 @@ class NoClosedFormApplicable(LookupError):
 
 
 class HypothesisNotMet(Exception):
-    """Internal signal: the hook-pair formula's hypotheses cannot be reached by
-    symmetry moves.  The dispatcher catches this and falls back to the oracle;
-    it never escapes compute()."""
+    """No longer raised: the hook-pair formula is total since it uses the
+    three-hook rule.  Kept so that code catching it still imports."""
 
 
 class InvariantViolation(RuntimeError):
@@ -135,11 +134,23 @@ def kron_tworow_corollary(lam: Partition, mu: Partition, nu: Partition) -> int:
     return y - x if y >= x else 0
 
 
-def _two_hooks_by_shape(lam: Partition, e: int, u: int, f: int, v: int) -> int | None:
-    """One orientation of the hook-pair formula; None when no case applies
-    (single-column lam, or hook lam outside the e<=u, f<=v, d<=w hypotheses)."""
-    if len(lam) <= 1:
-        return 1 if (e, u) == (f, v) else 0  # hooks are determined by (leg, arm)
+def kron_two_hooks(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Kronecker coefficient for hook-shaped mu and nu and arbitrary lam.
+
+    Cases on lam: shapes containing the cell (3,3) give 0; double hooks get
+    the two-bracket window formula; every other lam is (n-d, 1^d), one-row
+    and single-column shapes included, and gets Remmel's three-hook rule
+    (J. Algebra 120 (1989)): with e, f the legs of mu and nu, gamma is 1 iff
+    |e-f| <= d <= e+f and d+e+f <= 2n-2, else 0.  The rule is invariant
+    under conjugating any pair (a leg l becomes n-1-l), so it needs no
+    normalization.
+    """
+    _check_sizes(lam, mu, nu)
+    hk_mu = hook_parts(mu)
+    hk_nu = hook_parts(nu)
+    if hk_mu is None or hk_nu is None:
+        raise ShapeMismatch(f"mu and nu must be hooks (m, 1^e) with m >= 2, e >= 1: {mu}, {nu}")
+    e, f = hk_mu[0], hk_nu[0]
     if len(lam) >= 3 and lam.parts[2] >= 3:
         return 0  # the cell (3,3) lies in lam: not contained in any double hook
     dh = double_hook_parts(lam)
@@ -150,43 +161,8 @@ def _two_hooks_by_shape(lam: Partition, e: int, u: int, f: int, v: int) -> int |
         first = 1 if 2 * (n3 - 1) <= e + f - x <= 2 * n4 and abs(f - e) <= d1 else 0
         second = 1 if 2 * n3 <= e + f - x + 1 <= 2 * n4 and abs(f - e) <= d1 + 1 else 0
         return first + second
-    hk = hook_parts(lam)
-    if hk is not None:
-        d, w = hk
-        if e <= u and f <= v and d <= w:
-            return 1 if e <= d + f and d <= e + f and f <= e + d else 0
-    return None
-
-
-_CONJ_PATTERNS: tuple[tuple[int, int] | None, ...] = (None, (0, 1), (0, 2), (1, 2))
-
-
-def kron_two_hooks(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Kronecker coefficient for hook-shaped mu and nu and arbitrary lam.
-
-    Cases on lam: one-row gives the delta rule; shapes containing the cell
-    (3,3) give 0; double hooks get the two-bracket window formula; hook lam
-    gives the triangle-inequality indicator, valid under e <= u, f <= v and
-    d <= w.  Pairwise-conjugation variants are tried to reach those
-    hypotheses; if none does, HypothesisNotMet is raised for the dispatcher
-    to catch (compute() then falls back to the oracle).
-    """
-    _check_sizes(lam, mu, nu)
-    if hook_parts(mu) is None or hook_parts(nu) is None:
-        raise ShapeMismatch(f"mu and nu must be hooks (m, 1^e) with m >= 2, e >= 1: {mu}, {nu}")
-    for pattern in _CONJ_PATTERNS:
-        triple = [lam, mu, nu]
-        if pattern is not None:
-            i, j = pattern
-            triple[i] = conjugate(triple[i])
-            triple[j] = conjugate(triple[j])
-        tl, tm, tn = triple
-        e, u = hook_parts(tm)  # conjugating a hook yields a hook
-        f, v = hook_parts(tn)
-        value = _two_hooks_by_shape(tl, e, u, f, v)
-        if value is not None:
-            return value
-    raise HypothesisNotMet(f"no conjugation variant fits the hook-pair formula: {lam}; {mu}; {nu}")
+    d = len(lam) - 1
+    return 1 if abs(e - f) <= d <= e + f and d + e + f <= 2 * (lam.n - 1) else 0
 
 
 def kron_hook_hook_tworow_corollary(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -264,6 +240,8 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _nonnegative(gamma, lam, mu, nu)
 
 
+_CONJ_PATTERNS: tuple[tuple[int, int] | None, ...] = (None, (0, 1), (0, 2), (1, 2))
+
 _PERMUTATIONS: tuple[tuple[int, int, int], ...] = (
     (0, 1, 2),
     (0, 2, 1),
@@ -339,19 +317,15 @@ def _shape_code(parts: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)  # keys are 18-bit signatures
-def _candidates(signature: int) -> tuple[_Variant, ...]:
-    """The variants whose slot classes pass _try_closed's class tests, in
-    table order, ending at the first one bound for the delta rule or the
-    two-row pair formula: those two cannot fail."""
-    found = []
+def _candidate(signature: int) -> _Variant | None:
+    """The first variant, in table order, whose slot classes pass
+    _try_closed's class tests; every closed form fires once its classes
+    match, so that variant is the answer's."""
     for variant in _VARIANTS:
         lam, mu, nu = (signature >> 3 * s & 7 for s in variant.sources)
-        certain = lam & _ONE_ROW or mu & nu & _TWO_ROW
-        if certain or (mu & _HOOK and nu & (_HOOK | _TWO_ROW)):
-            found.append(variant)
-            if certain:
-                break
-    return tuple(found)
+        if lam & _ONE_ROW or mu & nu & _TWO_ROW or mu & _HOOK and nu & (_HOOK | _TWO_ROW):
+            return variant
+    return None
 
 
 def undo_moves(triple: NormalizedTriple) -> tuple[Partition, Partition, Partition]:
@@ -380,15 +354,9 @@ def _try_closed(variant: NormalizedTriple) -> KroneckerResult | None:
     if two_row_parts(mu) is not None and two_row_parts(nu) is not None:
         return KroneckerResult(kron_two_tworow(lam, mu, nu), TWO_ROW_TWO_ROW, variant.moves)
     if hook_parts(mu) is not None and hook_parts(nu) is not None:
-        try:
-            return KroneckerResult(kron_two_hooks(lam, mu, nu), HOOK_HOOK, variant.moves)
-        except HypothesisNotMet:
-            pass
+        return KroneckerResult(kron_two_hooks(lam, mu, nu), HOOK_HOOK, variant.moves)
     if hook_parts(mu) is not None and two_row_parts(nu) is not None:
-        try:
-            return KroneckerResult(kron_hook_tworow(lam, mu, nu), HOOK_TWO_ROW, variant.moves)
-        except HypothesisNotMet:
-            pass
+        return KroneckerResult(kron_hook_tworow(lam, mu, nu), HOOK_TWO_ROW, variant.moves)
     return None
 
 
@@ -396,11 +364,10 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     """Kronecker coefficient of a triple, routed to the cheapest correct method.
 
     auto: use the first symmetry variant, in the documented order, whose
-    (mu, nu) classes match a closed form with all hypotheses satisfied,
-    falling back to the character oracle when none does.  The classes of the
-    six shapes (lam, mu, nu and their conjugates) are read once; their
-    signature looks up the variants whose classes can match, and only those
-    are tried, conjugating only the shapes they use.
+    (mu, nu) classes match a closed form, falling back to the character
+    oracle when none does.  The classes of the six shapes (lam, mu, nu and
+    their conjugates) are read once; their signature looks up that variant,
+    and only the shapes it uses are conjugated.
     closed: like auto but raise NoClosedFormApplicable instead of falling back.
     oracle: always evaluate the character sum.
 
@@ -412,16 +379,13 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     if method == ORACLE_ONLY:
         return kron_oracle(lam, mu, nu)
     signature = _shape_code(lam.parts) | _shape_code(mu.parts) << 3 | _shape_code(nu.parts) << 6
-    shapes = [lam, mu, nu, None, None, None]
-    for sources, moves in _candidates(signature):
-        for s in sources:
-            if shapes[s] is None:
-                shapes[s] = conjugate(shapes[s - 3])
-        a, b, c = sources
-        result = _try_closed(NormalizedTriple(shapes[a], shapes[b], shapes[c], moves))
-        if result is not None:
-            _nonnegative(result.gamma, lam, mu, nu)
-            return result
-    if method == CLOSED_ONLY:
-        raise NoClosedFormApplicable(f"no closed form matches any variant of ({lam}; {mu}; {nu})")
-    return kron_oracle(lam, mu, nu)
+    variant = _candidate(signature)
+    if variant is None:
+        if method == CLOSED_ONLY:
+            raise NoClosedFormApplicable(f"no closed form matches any variant of ({lam}; {mu}; {nu})")
+        return kron_oracle(lam, mu, nu)
+    shapes = (lam, mu, nu)
+    a, b, c = (shapes[s] if s < 3 else conjugate(shapes[s - 3]) for s in variant.sources)
+    result = _try_closed(NormalizedTriple(a, b, c, variant.moves))
+    _nonnegative(result.gamma, lam, mu, nu)
+    return result

@@ -15,7 +15,9 @@ A note on orientation, because the two counting families genuinely differ:
   *row*, moving the column by +-1), the frame presumed by the closed form's
   case split on the starting column and the frame in which the two-row
   Kronecker formula consumes these counts.  The brute force expresses this
-  through ``reachable`` by swapping both coordinate pairs.
+  through ``reachable`` by swapping both coordinate pairs.  The closed form
+  holds at every start point (x, y), on both sides of the diagonal: the
+  two-row formula evaluates it at x = nu2 < y = mu2 + 1.
 """
 
 from __future__ import annotations
@@ -63,11 +65,15 @@ def sigma_closed(k: int, l: int, h: int) -> int:
     return half // 2 - tail
 
 
-def _gamma_formula(a: int, b: int, c: int, d: int, x: int, y: int) -> int:
-    """Piecewise rectangle-count expression, split on the start column y
+def gamma_region_closed(a: int, b: int, c: int, d: int, x: int, y: int) -> int:
+    """Closed form for gamma_region_bruteforce(a, b, c, d, x, y), for any
+    integers x and y.
+
+    Piecewise rectangle-count expression, split on the start column y
     against the column range [c, c+d]; the overlap correction delta removes
-    points counted by both sigma terms in the middle case."""
-    if 0 <= y <= c:
+    points counted by both sigma terms in the middle case.
+    """
+    if y <= c:
         return sigma_closed(b + 1, d + 1, x + y - a - c)
     if y >= c + d:
         return sigma_closed(b + 1, d + 1, x - y + c + d - a)
@@ -99,12 +105,3 @@ def gamma_region_bruteforce(a: int, b: int, c: int, d: int, x: int, y: int) -> i
             if dv <= dx and (dx - dv) % 2 == 0:
                 count += 1
     return count
-
-
-def gamma_region_closed(a: int, b: int, c: int, d: int, x: int, y: int) -> int:
-    """Rectangle cone count; the closed form on the x >= y half-plane where
-    its derivation holds, brute force outside it rather than extrapolating."""
-    if x >= y:
-        return _gamma_formula(a, b, c, d, x, y)
-    return gamma_region_bruteforce(a, b, c, d, x, y)
-

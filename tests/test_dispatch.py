@@ -11,7 +11,14 @@ import random
 import sys
 
 from kroncoef import closed_forms, enumerate_partitions, kron_oracle, make_partition
-from kroncoef.characters import ORACLE, KroneckerResult
+from kroncoef.characters import (
+    DELTA_RULE,
+    HOOK_HOOK,
+    HOOK_TWO_ROW,
+    ORACLE,
+    TWO_ROW_TWO_ROW,
+    KroneckerResult,
+)
 from kroncoef.closed_forms import (
     _CONJ_PATTERNS,
     _PERMUTATIONS,
@@ -111,9 +118,13 @@ def _present(rng, triple):
 
 
 def test_seeded_presentations_at_large_n(monkeypatch):
-    # The oracle is out of reach at these sizes; a stub marks the triples
-    # that both routes leave to it.
+    # The oracle is out of reach at these sizes.  Two of the three shapes
+    # are two-row or hooks, so a closed form always applies: a stub records
+    # any triple that either route would leave to the oracle.
+    oracle_calls = []
+
     def stub_oracle(lam, mu, nu):
+        oracle_calls.append((lam, mu, nu))
         return KroneckerResult(0, ORACLE)
 
     monkeypatch.setattr(closed_forms, "kron_oracle", stub_oracle)
@@ -129,7 +140,8 @@ def test_seeded_presentations_at_large_n(monkeypatch):
             expected = reference_compute(*triple, oracle=stub_oracle)
             assert closed_forms.compute(*triple) == expected, triple
             provenances.add(expected.provenance)
-    assert len(provenances) == 5
+    assert provenances == {DELTA_RULE, TWO_ROW_TWO_ROW, HOOK_HOOK, HOOK_TWO_ROW}
+    assert oracle_calls == []
 
 
 def _counting_conjugate(monkeypatch):

@@ -110,6 +110,39 @@ class TestGammaRegion:
                                     a, b, c, d, x, y
                                 ) == gamma_region_bruteforce(a, b, c, d, x, y), (a, b, c, d, x, y)
 
+    def test_closed_equals_bruteforce_where_y_dominates(self):
+        # start columns right of the diagonal x = y, and left of column 0
+        for a in range(4):
+            for b in range(4):
+                for c in range(4):
+                    for d in range(4):
+                        top = a + b + c + d
+                        for x in range(-2, top + 5):
+                            for y in range(-3, top + 11):
+                                if 0 <= y <= x:
+                                    continue  # the x >= y test above
+                                assert gamma_region_closed(
+                                    a, b, c, d, x, y
+                                ) == gamma_region_bruteforce(a, b, c, d, x, y), (a, b, c, d, x, y)
+
+    def test_closed_equals_bruteforce_at_two_row_kernel_points(self):
+        # kron_two_tworow evaluates Gamma at x = nu2 <= mu2 < y = mu2 + 1 for
+        # lam = (l1, l2, l3, l4); every such point through n = 30
+        for n in range(1, 31):
+            for l4 in range(n // 4 + 1):
+                for l3 in range(l4, (n - l4) // 3 + 1):
+                    for l2 in range(l3, (n - l3 - l4) // 2 + 1):
+                        l1 = n - l2 - l3 - l4
+                        a, b = l3 + l4, l2 - l3
+                        c, d = min(l1 - l2, l3 - l4), abs(l1 + l4 - l2 - l3)
+                        for mu2 in range(n // 2 + 1):
+                            for nu2 in range(mu2 + 1):
+                                for height in (a + b + 1, a + b + c + d + 2):
+                                    args = (a, b, height, c, nu2, mu2 + 1)
+                                    assert gamma_region_closed(*args) == gamma_region_bruteforce(
+                                        *args
+                                    ), args
+
     def test_bfs_cross_check_example(self):
         got = gamma_region_bruteforce(4, 2, 0, 3, 5, 2)
         assert got == gamma_region_closed(4, 2, 0, 3, 5, 2)
