@@ -10,13 +10,13 @@ provenance.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import os
 import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import click
 
@@ -25,7 +25,6 @@ from .characters import SizeMismatch, kron_oracle
 from .closed_forms import (
     AUTO,
     METHODS,
-    InvariantViolation,
     NoClosedFormApplicable,
     compute,
     kron_hook_tworow,
@@ -72,10 +71,15 @@ def _result_record(lam, mu, nu, result, elapsed_ms):
     }
 
 
-def _csv_row(lam, mu, nu, gamma, provenance):
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow([str(lam), str(mu), str(nu), str(gamma), provenance])
-    return buffer.getvalue().rstrip("\r\n")
+def _csv_writer():
+    """CSV writer on standard output, LF line ends, header row written."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["lambda", "mu", "nu", "gamma", "provenance"])
+    return writer
+
+
+def _csv_fields(lam, mu, nu, result):
+    return [str(lam), str(mu), str(nu), str(result.gamma), result.provenance]
 
 
 @click.group()
@@ -107,8 +111,7 @@ def cmd_compute(lam, mu, nu, method, fmt):
     if fmt == "json":
         click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_ms)))
     elif fmt == "csv":
-        click.echo("lambda,mu,nu,gamma,provenance")
-        click.echo(_csv_row(lam, mu, nu, result.gamma, result.provenance))
+        _csv_writer().writerow(_csv_fields(lam, mu, nu, result))
     else:
         click.echo(f"gamma = {result.gamma}")
         click.echo(f"provenance = {result.provenance}")
@@ -168,16 +171,6 @@ class SweepReport:
         self.mismatches.extend(other.mismatches)
         self.max_gamma = max(self.max_gamma, other.max_gamma)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "family": self.family,
-            "triples_checked": self.triples_checked,
-            "mismatches": self.mismatches,
-            "elapsed_ms": self.elapsed_ms,
-            "max_gamma": self.max_gamma,
-        }
-
 
 def _sweep_chunk(family: str, n: int, lam_parts_list: list) -> SweepReport:
     """Verify all family triples whose lambda lies in the given chunk."""
@@ -199,14 +192,19 @@ def _sweep_chunk(family: str, n: int, lam_parts_list: list) -> SweepReport:
 
 
 def run_sweep(family: str, n_max: int, jobs: int = 1) -> SweepReport:
-    """Closed-form-versus-oracle sweep over every n <= n_max of one family."""
+    """Closed-form-versus-oracle sweep over every n <= n_max of one family.
+
+    Each n runs on min(jobs, CPU count, p(n)) worker processes, one chunk of
+    lambdas per worker; a single worker runs in-process.
+    """
     start = time.perf_counter()
     total = SweepReport(n=n_max, family=family)
     for n in range(1, n_max + 1):
         lam_parts = [p.parts for p in enumerate_partitions(n)]
-        if jobs > 1 and len(lam_parts) > 1:
-            chunks = [lam_parts[i::jobs] for i in range(jobs) if lam_parts[i::jobs]]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, os.cpu_count() or 1, len(lam_parts))
+        if workers > 1:
+            chunks = [lam_parts[i::workers] for i in range(workers)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for report in pool.map(_sweep_chunk, [family] * len(chunks),
                                        [n] * len(chunks), chunks):
                     total.merge(report)
@@ -227,17 +225,13 @@ def cmd_table(n, family, fmt):
     if n < 1:
         click.echo("error: --n must be >= 1", err=True)
         sys.exit(2)
-    writer = csv.writer(sys.stdout) if fmt == "csv" else None
-    if writer:
-        writer.writerow(["lambda", "mu", "nu", "gamma", "provenance"])
+    writer = _csv_writer() if fmt == "csv" else None
     for lam, mu, nu in _family_triples(n, family):
         result = compute(lam, mu, nu, AUTO)
-        if result.gamma < 0:
-            raise InvariantViolation(f"negative coefficient for ({lam}; {mu}; {nu}): {result}")
         if fmt == "json":
             click.echo(json.dumps(_result_record(lam, mu, nu, result, 0)))
         elif fmt == "csv":
-            writer.writerow([str(lam), str(mu), str(nu), str(result.gamma), result.provenance])
+            writer.writerow(_csv_fields(lam, mu, nu, result))
         else:
             click.echo(f"{str(lam) or '-':>16}  {str(mu) or '-':>12}  {str(nu) or '-':>12}  "
                        f"{result.gamma:>4}  {result.provenance}")
@@ -246,8 +240,9 @@ def cmd_table(n, family, fmt):
 @main.command("verify")
 @click.option("--family", type=click.Choice(FAMILIES), default="all", show_default=True)
 @click.option("--n-max", type=int, required=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for the sweep (1 = in-process).")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Most worker processes for the sweep, capped at the CPU count "
+                   "(1 = in-process).")
 @click.option("--format", "fmt", type=click.Choice(("plain", "json")), default="plain",
               show_default=True)
 def cmd_verify(family, n_max, jobs, fmt):
@@ -260,7 +255,7 @@ def cmd_verify(family, n_max, jobs, fmt):
     for fam in families:
         report = run_sweep(fam, n_max, jobs)
         if fmt == "json":
-            click.echo(json.dumps(report.to_json()))
+            click.echo(json.dumps(asdict(report)))
         else:
             status = "ok" if not report.mismatches else "MISMATCH"
             click.echo(

@@ -116,6 +116,11 @@ def kron_two_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
 def kron_tworow_corollary(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient when all three shapes are two-row.
 
+    The certifying twin of kron_two_tworow on that family, not a second
+    route: compute answers all-two-row triples with kron_two_tworow, and the
+    test suite checks the two against each other at sizes the oracle cannot
+    reach.
+
     With the second parts sorted so nu2 <= mu2 <= lam2 (full symmetry makes
     this normalization free), the value is y - x when y >= x and 0 otherwise,
     where x = max(0, ceil((mu2+nu2+lam2-n)/2)) and y = ceil((mu2+nu2-lam2+1)/2).
@@ -165,42 +170,16 @@ def kron_two_hooks(lam: Partition, mu: Partition, nu: Partition) -> int:
     return 1 if abs(e - f) <= d <= e + f and d + e + f <= 2 * (lam.n - 1) else 0
 
 
-def kron_hook_hook_tworow_corollary(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Kronecker coefficient for two-row lam and hook mu, nu.
-
-    For lam2 >= 2 the value is the two-indicator sum
-    (lam2-1 <= e <= lam1)(e = f) + (lam2 <= (e+f+1)/2 <= lam1)(|e-f| <= 1),
-    the double-hook specialization d1 = d2 = 0, n3 = lam2, n4 = lam1.  A
-    two-row shape with lam2 <= 1 is not a double hook (the cell (2,2) is
-    missing), so (m, 1) routes through the hook-pair formula and a one-row
-    lam through the delta rule.
-    """
-    _check_sizes(lam, mu, nu)
-    tr = two_row_parts(lam)
-    if tr is None:
-        raise ShapeMismatch(f"lam must have at most two parts: {lam}")
-    if hook_parts(mu) is None or hook_parts(nu) is None:
-        raise ShapeMismatch(f"mu and nu must be hooks: {mu}, {nu}")
-    lam1, lam2 = tr
-    if lam2 >= 2:
-        e, _ = hook_parts(mu)
-        f, _ = hook_parts(nu)
-        first = 1 if lam2 - 1 <= e <= lam1 and e == f else 0
-        second = 1 if 2 * lam2 <= e + f + 1 <= 2 * lam1 and abs(e - f) <= 1 else 0
-        return first + second
-    if lam2 == 1:
-        return kron_two_hooks(lam, mu, nu)
-    return 1 if mu == nu else 0
-
-
 def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient for hook mu, two-row nu and arbitrary lam.
 
-    Cases on lam: one-row is the delta rule; (3,3) in lam gives 0; a hook or
-    single column hands off to the hook machinery (via the full S3 symmetry
-    when nu is itself a hook or one-row); a double hook uses the four-term
-    window formula in e1 = leg of mu and nu2, after conjugating the pair
-    {lam, mu} if needed to reach the normalization n4 - n3 <= d1.
+    Cases on lam: one-row is the delta rule; (3,3) in lam gives 0; a single
+    column is the delta rule after conjugating the pair {lam, mu}; a hook
+    makes (lam, mu) a hook pair, so by the S3 symmetry of gamma the value is
+    kron_two_hooks(nu, lam, mu), with the two-row nu (a double hook, a hook
+    (m, 1) or one-row) in its arbitrary slot; a double hook uses the
+    four-term window formula in e1 = leg of mu and nu2, after conjugating
+    the pair {lam, mu} if needed to reach the normalization n4 - n3 <= d1.
     """
     _check_sizes(lam, mu, nu)
     hk_mu = hook_parts(mu)
@@ -219,12 +198,8 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
         # conjugate the pair {lam, mu}: one-row lam' leaves delta(mu', nu)
         return 1 if conjugate(mu) == nu else 0
     if hook_parts(lam) is not None:
-        if nu2 >= 2:
-            # gamma is symmetric in its three shapes: read nu as the two-row slot
-            return kron_hook_hook_tworow_corollary(nu, lam, mu)
-        if nu2 == 1:
-            return kron_two_hooks(lam, mu, nu)  # all three shapes are hooks
-        return 1 if lam == mu else 0  # nu one-row
+        # gamma is symmetric in its three shapes: the hook pair is (lam, mu)
+        return kron_two_hooks(nu, lam, mu)
     dh = double_hook_parts(lam)
     if dh is None:  # remaining shapes are double hooks by elimination
         raise InvariantViolation(f"lam escaped the case split of the hook/two-row formula: {lam}")
@@ -282,10 +257,11 @@ def _build_variants() -> tuple[_Variant, ...]:
 
 _VARIANTS = _build_variants()
 
-# Shape class bits, as _try_closed tests them: at most one row (len <= 1),
-# two_row_parts not None, hook_parts not None.  A shape's code carries its
-# own classes in bits 0-2 and its conjugate's in bits 9-11, so the signature
-# code(lam) | code(mu) << 3 | code(nu) << 6 holds the classes of source s of
+# Shape class bits, the classes the closed forms need: at most one row
+# (len <= 1), at most two parts (two_row_parts not None) and a genuine hook
+# (hook_parts not None).  A shape's code carries its own classes in bits 0-2
+# and its conjugate's in bits 9-11, so the signature code(lam) |
+# code(mu) << 3 | code(nu) << 6 holds the classes of source s of
 # (lam, mu, nu, lam', mu', nu') in bits 3s to 3s+2.
 _ONE_ROW = 1
 _TWO_ROW = 2
@@ -317,14 +293,24 @@ def _shape_code(parts: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)  # keys are 18-bit signatures
-def _candidate(signature: int) -> _Variant | None:
-    """The first variant, in table order, whose slot classes pass
-    _try_closed's class tests; every closed form fires once its classes
-    match, so that variant is the answer's."""
+def _candidate(signature: int) -> tuple[_Variant, str] | None:
+    """The first variant, in table order, whose slot classes match a closed
+    form, with that form's provenance; None when no variant matches.
+
+    The forms are tried most specific first: a one-row lam is the delta
+    rule, then a two-row pair (mu, nu), a hook pair, and a hook mu with a
+    two-row nu.  Every closed form fires once its classes match, so this is
+    the one place that decides which form answers a triple."""
     for variant in _VARIANTS:
         lam, mu, nu = (signature >> 3 * s & 7 for s in variant.sources)
-        if lam & _ONE_ROW or mu & nu & _TWO_ROW or mu & _HOOK and nu & (_HOOK | _TWO_ROW):
-            return variant
+        if lam & _ONE_ROW:
+            return variant, DELTA_RULE
+        if mu & nu & _TWO_ROW:
+            return variant, TWO_ROW_TWO_ROW
+        if mu & nu & _HOOK:
+            return variant, HOOK_HOOK
+        if mu & _HOOK and nu & _TWO_ROW:
+            return variant, HOOK_TWO_ROW
     return None
 
 
@@ -346,46 +332,47 @@ def undo_moves(triple: NormalizedTriple) -> tuple[Partition, Partition, Partitio
     return slots[0], slots[1], slots[2]
 
 
-def _try_closed(variant: NormalizedTriple) -> KroneckerResult | None:
-    """Match one variant against the closed forms, most specific first."""
-    lam, mu, nu = variant.lam, variant.mu, variant.nu
-    if len(lam) <= 1:
-        return KroneckerResult(1 if mu == nu else 0, DELTA_RULE, variant.moves)
-    if two_row_parts(mu) is not None and two_row_parts(nu) is not None:
-        return KroneckerResult(kron_two_tworow(lam, mu, nu), TWO_ROW_TWO_ROW, variant.moves)
-    if hook_parts(mu) is not None and hook_parts(nu) is not None:
-        return KroneckerResult(kron_two_hooks(lam, mu, nu), HOOK_HOOK, variant.moves)
-    if hook_parts(mu) is not None and two_row_parts(nu) is not None:
-        return KroneckerResult(kron_hook_tworow(lam, mu, nu), HOOK_TWO_ROW, variant.moves)
-    return None
+def _try_closed(provenance: str, lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Evaluate the closed form named by provenance on a variant whose slot
+    classes _candidate has already matched to it."""
+    if provenance == DELTA_RULE:
+        return 1 if mu == nu else 0
+    if provenance == TWO_ROW_TWO_ROW:
+        return kron_two_tworow(lam, mu, nu)
+    if provenance == HOOK_HOOK:
+        return kron_two_hooks(lam, mu, nu)
+    return kron_hook_tworow(lam, mu, nu)
 
 
 def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) -> KroneckerResult:
     """Kronecker coefficient of a triple, routed to the cheapest correct method.
 
     auto: use the first symmetry variant, in the documented order, whose
-    (mu, nu) classes match a closed form, falling back to the character
-    oracle when none does.  The classes of the six shapes (lam, mu, nu and
-    their conjugates) are read once; their signature looks up that variant,
-    and only the shapes it uses are conjugated.
+    slot classes match a closed form, falling back to the character oracle
+    when none does.  The classes of the six shapes (lam, mu, nu and their
+    conjugates) are read once; their signature looks up that variant and
+    its closed form, and only the shapes it uses are conjugated.
     closed: like auto but raise NoClosedFormApplicable instead of falling back.
     oracle: always evaluate the character sum.
 
     The result records provenance and the symmetry moves that were applied.
+    Every route's gamma is checked to be nonnegative here.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     _check_sizes(lam, mu, nu)
-    if method == ORACLE_ONLY:
-        return kron_oracle(lam, mu, nu)
-    signature = _shape_code(lam.parts) | _shape_code(mu.parts) << 3 | _shape_code(nu.parts) << 6
-    variant = _candidate(signature)
-    if variant is None:
+    found = None
+    if method != ORACLE_ONLY:
+        signature = _shape_code(lam.parts) | _shape_code(mu.parts) << 3 | _shape_code(nu.parts) << 6
+        found = _candidate(signature)
+    if found is None:
         if method == CLOSED_ONLY:
             raise NoClosedFormApplicable(f"no closed form matches any variant of ({lam}; {mu}; {nu})")
-        return kron_oracle(lam, mu, nu)
+        result = kron_oracle(lam, mu, nu)
+        _nonnegative(result.gamma, lam, mu, nu)
+        return result
+    variant, provenance = found
     shapes = (lam, mu, nu)
     a, b, c = (shapes[s] if s < 3 else conjugate(shapes[s - 3]) for s in variant.sources)
-    result = _try_closed(NormalizedTriple(a, b, c, variant.moves))
-    _nonnegative(result.gamma, lam, mu, nu)
-    return result
+    gamma = _try_closed(provenance, a, b, c)
+    return KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, variant.moves)

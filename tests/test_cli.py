@@ -4,7 +4,7 @@ import json
 
 from click.testing import CliRunner
 
-from kroncoef import cli
+from kroncoef import cli, closed_forms
 from kroncoef.characters import ORACLE, KroneckerResult
 from kroncoef.cli import main, run_sweep
 from kroncoef.closed_forms import InvariantViolation
@@ -108,9 +108,24 @@ class TestTableCommand:
             assert json.loads(again.output)["gamma"] == record["gamma"]
 
     def test_negative_row_raises(self, monkeypatch):
-        monkeypatch.setattr(cli, "compute", lambda lam, mu, nu, method: KroneckerResult(-1, ORACLE))
-        result = invoke("table", "--n", "2", "--format", "csv")
+        # compute checks every route's gamma: at n = 6, (3,2,1)^3 is an oracle row
+        monkeypatch.setattr(closed_forms, "kron_oracle",
+                            lambda lam, mu, nu: KroneckerResult(-1, ORACLE))
+        result = invoke("table", "--n", "6", "--format", "csv")
         assert isinstance(result.exception, InvariantViolation)
+
+
+class TestCsvOutput:
+    def test_no_carriage_returns(self):
+        table = invoke("table", "--n", "3", "--format", "csv")
+        single = invoke("compute", "--lambda", "3", "--mu", "2,1", "--nu", "2,1", "--format", "csv")
+        for result in (table, single):
+            assert result.exit_code == 0
+            assert b"\r" not in result.stdout_bytes
+            assert result.stdout_bytes.startswith(b"lambda,mu,nu,gamma,provenance\n")
+        assert single.stdout_bytes == b'lambda,mu,nu,gamma,provenance\n3,"2,1","2,1",1,DeltaRule\n'
+        # both commands write the same row for the same triple
+        assert single.stdout_bytes.splitlines()[1] in table.stdout_bytes.splitlines()
 
 
 class TestVerifyCommand:
@@ -123,6 +138,8 @@ class TestVerifyCommand:
         result = invoke("verify", "--family", "hook-hook", "--n-max", "7", "--format", "json")
         assert result.exit_code == 0
         report = json.loads(result.output)
+        assert list(report) == ["n", "family", "triples_checked", "mismatches", "elapsed_ms",
+                                "max_gamma"]
         assert report["mismatches"] == []
         assert report["max_gamma"] <= 2
 
@@ -144,6 +161,40 @@ class TestVerifyCommand:
         parallel = run_sweep("two-row", 6, jobs=2)
         assert serial.triples_checked == parallel.triples_checked
         assert parallel.mismatches == []
+
+    def test_jobs_below_one_is_a_parse_error(self):
+        for jobs in ("0", "-3"):
+            result = invoke("verify", "--family", "two-row", "--n-max", "3", "--jobs", jobs)
+            assert result.exit_code == 2, jobs
+
+    def test_workers_capped_by_cpus_and_lambdas(self, monkeypatch):
+        # a fake pool records its size and maps in-process: no worker starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        report = run_sweep("two-row", 6, jobs=500)
+        # p(n) = 1, 2, 3, 5, 7, 11: n = 1 stays in-process
+        assert sizes == [2, 3, 4, 4, 4]
+        serial = run_sweep("two-row", 6, jobs=1)
+        assert report.triples_checked == serial.triples_checked
+        assert report.mismatches == [] and report.max_gamma == serial.max_gamma
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker
+        run_sweep("two-row", 6, jobs=500)
+        assert sizes == [2, 3, 4, 4, 4]
 
 
 class TestSelftestCommand:

@@ -20,7 +20,6 @@ from kroncoef import (
     double_hook_parts,
     enumerate_partitions,
     hook_parts,
-    kron_hook_hook_tworow_corollary,
     kron_hook_tworow,
     kron_oracle,
     kron_tworow_corollary,
@@ -31,6 +30,7 @@ from kroncoef import (
     undo_moves,
 )
 from kroncoef import closed_forms
+from kroncoef.characters import ORACLE, KroneckerResult
 from kroncoef.closed_forms import _VARIANTS, InvariantViolation, NormalizedTriple
 
 
@@ -129,6 +129,16 @@ class TestTwoRowCorollary:
                         assert got == kron_two_tworow(lam, mu, nu)
                         assert got == oracle(lam, mu, nu)
 
+    def test_certifies_general_form_beyond_oracle_range(self):
+        # the oracle cannot reach these sizes; the two formulas are derived
+        # independently, so their agreement certifies the routed one
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            n = rng.randint(20, 500)
+            lam, mu, nu = (make_partition([n - k, k])
+                           for k in (rng.randint(0, n // 2) for _ in range(3)))
+            assert kron_tworow_corollary(lam, mu, nu) == kron_two_tworow(lam, mu, nu), (lam, mu, nu)
+
 
 class TestTwoHooks:
     def test_one_row_lambda_is_delta(self):
@@ -178,34 +188,29 @@ class TestTwoHooks:
 
 
 class TestHookHookTwoRowCorollary:
+    # a two-row lam with lam2 >= 2 is a double hook with d1 = d2 = 0, which
+    # kron_two_hooks answers directly; (m, 1) is a hook and takes the
+    # three-hook rule
+
     def test_value_two_is_attained(self):
         lam = make_partition([3, 2])
         mu = make_partition([3, 1, 1])
-        assert kron_hook_hook_tworow_corollary(lam, mu, mu) == 2
+        assert kron_two_hooks(lam, mu, mu) == 2
         assert oracle(lam, mu, mu) == 2
 
     def test_indicators_can_both_vanish(self):
         lam = make_partition([5, 4])
         mu = make_partition([8, 1])  # e = f = 1 < lam2 - 1 and window misses
-        assert kron_hook_hook_tworow_corollary(lam, mu, mu) == 0
+        assert kron_two_hooks(lam, mu, mu) == 0
         assert oracle(lam, mu, mu) == 0
 
-    def test_lambda_with_unit_second_row_routes_to_hook_case(self):
-        # (m, 1) is a hook, not a double hook; the printed indicators would
-        # overcount here, so the corollary must defer to the hook formula
+    def test_lambda_with_unit_second_row_routes_to_hook(self):
+        # (m, 1) is a hook, not a double hook; the double-hook brackets would
+        # overcount here, so the three-hook rule must answer it
         lam = make_partition([3, 1])
         mu = make_partition([2, 1, 1])
-        assert kron_hook_hook_tworow_corollary(lam, mu, mu) == 1
+        assert kron_two_hooks(lam, mu, mu) == 1
         assert oracle(lam, mu, mu) == 1
-
-    def test_agrees_with_two_hooks_exhaustively(self):
-        for n in range(2, 13):
-            hooks = hooks_of(n)
-            for lam in two_rows_of(n):
-                for mu in hooks:
-                    for nu in hooks:
-                        got = kron_hook_hook_tworow_corollary(lam, mu, nu)
-                        assert got == kron_two_hooks(lam, mu, nu), (lam, mu, nu)
 
 
 class TestHookTwoRow:
@@ -396,6 +401,14 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             kron_hook_tworow(make_partition([3, 2, 1]), make_partition([4, 1, 1]),
                              make_partition([4, 2]))
+
+    def test_negative_oracle_value_raises(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "kron_oracle",
+                            lambda lam, mu, nu: KroneckerResult(-1, ORACLE))
+        lam = make_partition([3, 2, 1])
+        for method in (AUTO, ORACLE_ONLY):  # the auto fallback and the oracle mode
+            with pytest.raises(InvariantViolation):
+                compute(lam, lam, lam, method)
 
     def test_check_survives_optimize_flag(self):
         script = (

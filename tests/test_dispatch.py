@@ -2,9 +2,11 @@
 
 The reference walker below is the walk compute used to run: build every
 symmetry variant in the documented order and return the first closed form
-that fires, else the oracle.  compute must agree with it on gamma,
-provenance and moves.  Run this file as a script to gate every triple
-through a larger n: ``PYTHONPATH=src python tests/test_dispatch.py 10``.
+that fires, else the oracle.  It matches each variant with its own
+reader-based class tests, so it shares no dispatch code with compute.
+compute must agree with it on gamma, provenance and moves.  Run this file
+as a script to gate every triple through a larger n:
+``PYTHONPATH=src python tests/test_dispatch.py 10``.
 """
 
 import random
@@ -24,7 +26,9 @@ from kroncoef.closed_forms import (
     _PERMUTATIONS,
     NormalizedTriple,
     _shape_code,
-    _try_closed,
+    kron_hook_tworow,
+    kron_two_hooks,
+    kron_two_tworow,
 )
 from kroncoef.partitions import conjugate, hook_parts, two_row_parts
 
@@ -49,9 +53,24 @@ def reference_variants(lam, mu, nu):
             yield NormalizedTriple(triple[0], triple[1], triple[2], moves)
 
 
+def reference_match(variant):
+    """Match one variant against the closed forms, most specific first,
+    reading the shape classes with the partition readers."""
+    lam, mu, nu = variant.lam, variant.mu, variant.nu
+    if len(lam) <= 1:
+        return KroneckerResult(1 if mu == nu else 0, DELTA_RULE, variant.moves)
+    if two_row_parts(mu) is not None and two_row_parts(nu) is not None:
+        return KroneckerResult(kron_two_tworow(lam, mu, nu), TWO_ROW_TWO_ROW, variant.moves)
+    if hook_parts(mu) is not None and hook_parts(nu) is not None:
+        return KroneckerResult(kron_two_hooks(lam, mu, nu), HOOK_HOOK, variant.moves)
+    if hook_parts(mu) is not None and two_row_parts(nu) is not None:
+        return KroneckerResult(kron_hook_tworow(lam, mu, nu), HOOK_TWO_ROW, variant.moves)
+    return None
+
+
 def reference_compute(lam, mu, nu, oracle=kron_oracle):
     for variant in reference_variants(lam, mu, nu):
-        result = _try_closed(variant)
+        result = reference_match(variant)
         if result is not None:
             return result
     return oracle(lam, mu, nu)
@@ -73,7 +92,7 @@ def gate(n_max):
 
 
 def test_shape_code_matches_the_readers():
-    # _try_closed's class tests: len <= 1, two_row_parts and hook_parts
+    # the reference matcher's class tests: len <= 1, two_row_parts and hook_parts
     for n in range(13):
         for lam in enumerate_partitions(n):
             code = _shape_code(lam.parts)
