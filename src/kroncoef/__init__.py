@@ -26,14 +26,12 @@ from .closed_forms import (
     ORACLE_ONLY,
     HypothesisNotMet,
     NoClosedFormApplicable,
-    NormalizedTriple,
     ShapeMismatch,
     compute,
     kron_hook_tworow,
     kron_tworow_corollary,
     kron_two_hooks,
     kron_two_tworow,
-    undo_moves,
 )
 from .lattice import (
     gamma_region_bruteforce,
@@ -80,7 +78,6 @@ __all__ = [
     "KroneckerResult",
     "NegativePart",
     "NoClosedFormApplicable",
-    "NormalizedTriple",
     "ORACLE",
     "ORACLE_ONLY",
     "Partition",
@@ -116,7 +113,6 @@ __all__ = [
     "sigma_bruteforce",
     "sigma_closed",
     "two_row_parts",
-    "undo_moves",
     "verify_comultiplication",
     "verify_sergeev_specializations",
     "z_of",

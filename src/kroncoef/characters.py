@@ -123,6 +123,11 @@ def clear_cache() -> None:
     _char_row.cache_clear()
 
 
+def _check_sizes(lam: Partition, mu: Partition, nu: Partition) -> None:
+    if not (lam.n == mu.n == nu.n):
+        raise SizeMismatch(f"sizes differ: |{lam}|={lam.n}, |{mu}|={mu.n}, |{nu}|={nu.n}")
+
+
 def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> KroneckerResult:
     """Kronecker coefficient via the classwise character sum.
 
@@ -130,9 +135,8 @@ def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> KroneckerResult
     in exact integers, then divides by n! once; divisibility is checked, not
     assumed.
     """
+    _check_sizes(lam, mu, nu)
     n = lam.n
-    if mu.n != n or nu.n != n:
-        raise SizeMismatch(f"sizes differ: |{lam}|={lam.n}, |{mu}|={mu.n}, |{nu}|={nu.n}")
     row_l = _char_row(lam.parts, n)
     row_m = _char_row(mu.parts, n)
     row_n = _char_row(nu.parts, n)

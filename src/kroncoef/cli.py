@@ -39,7 +39,8 @@ from .partitions import (
     two_row_parts,
 )
 
-FAMILIES = ("two-row", "hook-hook", "hook-two-row", "all")
+SWEEP_FAMILIES = ("two-row", "hook-hook", "hook-two-row")
+FAMILIES = SWEEP_FAMILIES + ("all",)
 
 
 class PartitionParam(click.ParamType):
@@ -119,7 +120,8 @@ def cmd_compute(lam, mu, nu, method, fmt):
 
 
 def _family_pairs(shapes, family):
-    """(mu, nu) pairs of a sweep family, in enumeration order.
+    """(mu, nu) pairs of a family, in enumeration order; "all" pairs every
+    two shapes.
 
     two-row means at most two parts (one-row shapes enter with second part 0);
     hooks are genuine hooks (m, 1^e) with m >= 2 and e >= 1.
@@ -145,14 +147,12 @@ def _family_triples(n, family):
 
 
 def _closed_value(family, lam, mu, nu):
-    """The family's closed form; the family "all" goes through compute."""
+    """The closed form of one of the SWEEP_FAMILIES."""
     if family == "two-row":
         return kron_two_tworow(lam, mu, nu)
     if family == "hook-hook":
         return kron_two_hooks(lam, mu, nu)
-    if family == "hook-two-row":
-        return kron_hook_tworow(lam, mu, nu)
-    return compute(lam, mu, nu, AUTO).gamma
+    return kron_hook_tworow(lam, mu, nu)
 
 
 @dataclass
@@ -192,11 +192,14 @@ def _sweep_chunk(family: str, n: int, lam_parts_list: list) -> SweepReport:
 
 
 def run_sweep(family: str, n_max: int, jobs: int = 1) -> SweepReport:
-    """Closed-form-versus-oracle sweep over every n <= n_max of one family.
+    """Closed-form-versus-oracle sweep over every n <= n_max of one of the
+    SWEEP_FAMILIES; any other family raises ValueError.
 
     Each n runs on min(jobs, CPU count, p(n)) worker processes, one chunk of
     lambdas per worker; a single worker runs in-process.
     """
+    if family not in SWEEP_FAMILIES:
+        raise ValueError(f"family must be one of {SWEEP_FAMILIES}, got {family!r}")
     start = time.perf_counter()
     total = SweepReport(n=n_max, family=family)
     for n in range(1, n_max + 1):
@@ -215,16 +218,13 @@ def run_sweep(family: str, n_max: int, jobs: int = 1) -> SweepReport:
 
 
 @main.command("table")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--family", type=click.Choice(FAMILIES), default="all", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(("plain", "json", "csv")), default="plain",
               show_default=True)
 def cmd_table(n, family, fmt):
     """Emit gamma for every triple of the family, one row per triple, in
     enumeration order."""
-    if n < 1:
-        click.echo("error: --n must be >= 1", err=True)
-        sys.exit(2)
     writer = _csv_writer() if fmt == "csv" else None
     for lam, mu, nu in _family_triples(n, family):
         result = compute(lam, mu, nu, AUTO)
@@ -239,7 +239,7 @@ def cmd_table(n, family, fmt):
 
 @main.command("verify")
 @click.option("--family", type=click.Choice(FAMILIES), default="all", show_default=True)
-@click.option("--n-max", type=int, required=True)
+@click.option("--n-max", type=click.IntRange(min=1), required=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Most worker processes for the sweep, capped at the CPU count "
                    "(1 = in-process).")
@@ -247,10 +247,7 @@ def cmd_table(n, family, fmt):
               show_default=True)
 def cmd_verify(family, n_max, jobs, fmt):
     """Run the closed-form-versus-oracle sweep; nonzero exit on any mismatch."""
-    if n_max < 1:
-        click.echo("error: --n-max must be >= 1", err=True)
-        sys.exit(2)
-    families = [f for f in FAMILIES if f != "all"] if family == "all" else [family]
+    families = SWEEP_FAMILIES if family == "all" else (family,)
     failed = False
     for fam in families:
         report = run_sweep(fam, n_max, jobs)
@@ -297,7 +294,7 @@ def _selftest_checks(seed):
     )
     yield "two-row coefficient families", parity and growth
     sweeps_ok = True
-    for fam in ("two-row", "hook-hook", "hook-two-row"):
+    for fam in SWEEP_FAMILIES:
         sweeps_ok = sweeps_ok and not run_sweep(fam, 7).mismatches
     yield "closed forms vs oracle through n=7", sweeps_ok
     symmetric = True

@@ -8,7 +8,6 @@ and conjugating any two of the three shapes simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -18,7 +17,7 @@ from .characters import (
     HOOK_TWO_ROW,
     TWO_ROW_TWO_ROW,
     KroneckerResult,
-    SizeMismatch,
+    _check_sizes,
     kron_oracle,
 )
 from .lattice import gamma_region_closed
@@ -55,22 +54,6 @@ class InvariantViolation(RuntimeError):
     Only an implementation bug can cause this, never valid input.  It is
     raised rather than asserted so that the check also runs under python -O.
     """
-
-
-@dataclass(frozen=True)
-class NormalizedTriple:
-    """A symmetry variant of an input triple together with the moves that
-    produced it; undo_moves() inverts the record."""
-
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    moves: tuple[str, ...]
-
-
-def _check_sizes(lam: Partition, mu: Partition, nu: Partition) -> None:
-    if not (lam.n == mu.n == nu.n):
-        raise SizeMismatch(f"sizes differ: |{lam}|={lam.n}, |{mu}|={mu.n}, |{nu}|={nu.n}")
 
 
 def _nonnegative(gamma: int, lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -178,8 +161,9 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     makes (lam, mu) a hook pair, so by the S3 symmetry of gamma the value is
     kron_two_hooks(nu, lam, mu), with the two-row nu (a double hook, a hook
     (m, 1) or one-row) in its arbitrary slot; a double hook uses the
-    four-term window formula in e1 = leg of mu and nu2, after conjugating
-    the pair {lam, mu} if needed to reach the normalization n4 - n3 <= d1.
+    four-term window formula in e1 = leg of mu and nu2, which needs
+    n4 - n3 <= d1; a wider double hook conjugates the pair {lam, mu} in the
+    parameters (d1, d2, n3, n4, e1), not in the shapes.
     """
     _check_sizes(lam, mu, nu)
     hk_mu = hook_parts(mu)
@@ -205,7 +189,11 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise InvariantViolation(f"lam escaped the case split of the hook/two-row formula: {lam}")
     d1, d2, n3, n4 = dh
     if n4 - n3 > d1:
-        return kron_hook_tworow(conjugate(lam), conjugate(mu), nu)
+        # conjugate the pair {lam, mu}: lam' = (d1+d2+2, d2+2, 2^(n3-2),
+        # 1^(n4-n3)) is a double hook with n4' - n3' = d1 < d1', and the
+        # leg of mu' is n-1-e1
+        d1, d2, n3, n4 = n4 - n3, n3 - 2, d2 + 2, d1 + d2 + 2
+        e1 = lam.n - 1 - e1
     lo = d1 + 2 * d2
     first = 1 if n3 <= nu2 - d2 - 1 <= n4 and lo < e1 < lo + 3 else 0
     second = 1 if n3 <= nu2 - d2 <= n4 and lo <= e1 <= lo + 3 else 0
@@ -312,24 +300,6 @@ def _candidate(signature: int) -> tuple[_Variant, str] | None:
         if mu & _HOOK and nu & _TWO_ROW:
             return variant, HOOK_TWO_ROW
     return None
-
-
-def undo_moves(triple: NormalizedTriple) -> tuple[Partition, Partition, Partition]:
-    """Invert the recorded moves, recovering the original input triple."""
-    slots = [triple.lam, triple.mu, triple.nu]
-    for move in reversed(triple.moves):
-        kind, args = move.rstrip(")").split("(")
-        indices = tuple(int(t) for t in args.split(","))
-        if kind == "conjugate":
-            i, j = indices
-            slots[i] = conjugate(slots[i])
-            slots[j] = conjugate(slots[j])
-        else:
-            restored = [None] * 3
-            for s in range(3):
-                restored[indices[s]] = slots[s]
-            slots = restored
-    return slots[0], slots[1], slots[2]
 
 
 def _try_closed(provenance: str, lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from kroncoef import cli, closed_forms
@@ -114,6 +115,12 @@ class TestTableCommand:
         result = invoke("table", "--n", "6", "--format", "csv")
         assert isinstance(result.exception, InvariantViolation)
 
+    def test_n_below_one_is_a_parse_error(self):
+        for n in ("0", "-1"):
+            result = invoke("table", "--n", n)
+            assert result.exit_code == 2, n
+            assert result.stdout == ""  # no table row
+
 
 class TestCsvOutput:
     def test_no_carriage_returns(self):
@@ -166,6 +173,17 @@ class TestVerifyCommand:
         for jobs in ("0", "-3"):
             result = invoke("verify", "--family", "two-row", "--n-max", "3", "--jobs", jobs)
             assert result.exit_code == 2, jobs
+
+    def test_n_max_below_one_is_a_parse_error(self):
+        for n_max in ("0", "-1"):
+            result = invoke("verify", "--family", "two-row", "--n-max", n_max)
+            assert result.exit_code == 2, n_max
+
+    def test_run_sweep_rejects_other_families(self):
+        # "all" is expanded by the verify command, never swept as one family
+        for family in ("all", "hook_hook"):
+            with pytest.raises(ValueError):
+                run_sweep(family, 3)
 
     def test_workers_capped_by_cpus_and_lambdas(self, monkeypatch):
         # a fake pool records its size and maps in-process: no worker starts

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kroncoef import (
     AUTO,
@@ -27,11 +29,10 @@ from kroncoef import (
     kron_two_tworow,
     make_partition,
     two_row_parts,
-    undo_moves,
 )
 from kroncoef import closed_forms
 from kroncoef.characters import ORACLE, KroneckerResult
-from kroncoef.closed_forms import _VARIANTS, InvariantViolation, NormalizedTriple
+from kroncoef.closed_forms import _VARIANTS, InvariantViolation
 
 
 def oracle(lam, mu, nu):
@@ -47,10 +48,28 @@ def two_rows_of(n):
 
 
 def table_variants(lam, mu, nu):
-    """Every entry of the symmetry table applied to the triple."""
+    """Every entry of the symmetry table applied to the triple, as
+    (lam, mu, nu, moves)."""
     shapes = (lam, mu, nu, conjugate(lam), conjugate(mu), conjugate(nu))
     for sources, moves in _VARIANTS:
-        yield NormalizedTriple(*(shapes[s] for s in sources), moves)
+        yield (*(shapes[s] for s in sources), moves)
+
+
+def apply_moves(lam, mu, nu, moves):
+    """The moves applied forward, as the KroneckerResult docstring reads
+    them: "permute(i,j,k)" puts entry perm[s] of the original in slot s,
+    then "conjugate(s,t)" conjugates the two named slots."""
+    slots = [lam, mu, nu]
+    for move in moves:
+        kind, args = move.rstrip(")").split("(")
+        indices = [int(t) for t in args.split(",")]
+        if kind == "permute":
+            slots = [slots[i] for i in indices]
+        else:
+            assert kind == "conjugate", move
+            for s in indices:
+                slots[s] = conjugate(slots[s])
+    return tuple(slots)
 
 
 class TestTwoTwoRow:
@@ -249,6 +268,22 @@ class TestHookTwoRow:
         nu = make_partition([4, 4])
         assert kron_hook_tworow(lam, mu, nu) == oracle(lam, mu, nu)
 
+    def test_wide_double_hook_parameters_are_the_conjugate_pair(self):
+        # the map kron_hook_tworow applies when n4 - n3 > d1, against the
+        # readers on the conjugate shapes
+        wide = 0
+        for n in range(4, 31):
+            for lam in enumerate_partitions(n):
+                dh = double_hook_parts(lam)
+                if dh is None or dh[3] - dh[2] <= dh[0]:
+                    continue
+                d1, d2, n3, n4 = dh
+                assert (n4 - n3, n3 - 2, d2 + 2, d1 + d2 + 2) == double_hook_parts(conjugate(lam))
+                wide += 1
+            for mu in hooks_of(n):
+                assert n - 1 - hook_parts(mu)[0] == hook_parts(conjugate(mu))[0]
+        assert wide > 1000
+
     def test_exhaustive_vs_oracle_small(self):
         for n in range(2, 11):
             rows = two_rows_of(n)
@@ -306,9 +341,9 @@ class TestCompute:
         ]
         for lam, mu, nu in triples:
             result = compute(lam, mu, nu, AUTO)
-            for variant in table_variants(lam, mu, nu):
-                if variant.moves == result.moves:
-                    assert undo_moves(variant) == (lam, mu, nu)
+            for *shapes, moves in table_variants(lam, mu, nu):
+                if moves == result.moves:
+                    assert apply_moves(lam, mu, nu, moves) == tuple(shapes)
                     break
             else:
                 pytest.fail(f"moves {result.moves} not among the variants")
@@ -318,10 +353,9 @@ class TestCompute:
         mu = make_partition([3, 2, 2])
         nu = make_partition([5, 1, 1])
         seen = set()
-        for variant in table_variants(lam, mu, nu):
-            assert isinstance(variant, NormalizedTriple)
-            assert undo_moves(variant) == (lam, mu, nu)
-            seen.add((variant.lam.parts, variant.mu.parts, variant.nu.parts, variant.moves))
+        for *shapes, moves in table_variants(lam, mu, nu):
+            assert apply_moves(lam, mu, nu, moves) == tuple(shapes)
+            seen.add((*(p.parts for p in shapes), moves))
         assert len(seen) == 24
 
     def test_sign_twist_via_variants(self):
@@ -379,6 +413,57 @@ class TestCompute:
                         assert closed == expected, (lam, mu, nu)
         assert compute(make_partition([2, 1]), make_partition([2, 1]),
                        make_partition([2, 1]), ORACLE_ONLY).gamma == 1
+
+
+@st.composite
+def any_partition(draw, n):
+    parts = []
+    while n:
+        parts.append(draw(st.integers(1, n)))
+        n -= parts[-1]
+    return make_partition(parts)
+
+
+@st.composite
+def double_hook(draw, n):
+    n3 = draw(st.integers(2, n // 2))
+    d2 = draw(st.integers(0, (n - 2 * n3) // 2))
+    d1 = draw(st.integers(0, n - 2 * n3 - 2 * d2))
+    return make_partition([n - n3 - 2 * d2 - d1, n3] + [2] * d2 + [1] * d1)
+
+
+def two_row_or_hook(n):
+    return st.one_of(st.integers(0, n // 2).map(lambda k: make_partition([n - k, k])),
+                     st.integers(1, n - 2).map(lambda e: make_partition([n - e] + [1] * e)))
+
+
+@st.composite
+def window_triple(draw, n):
+    """A double hook lam with a hook mu and a two-row nu drawn around the
+    window of the hook/two-row formula in lam's parameters, where gamma is
+    often nonzero."""
+    lam = draw(double_hook(n))
+    d1, d2, n3, _ = double_hook_parts(lam)
+    e1 = min(max(d1 + 2 * d2 + draw(st.integers(0, 3)), 1), n - 2)
+    nu2 = min(n3 + d2 + draw(st.integers(-1, 1)), n // 2)
+    return lam, make_partition([n - e1] + [1] * e1), make_partition([n - nu2, nu2])
+
+
+@st.composite
+def closed_triples(draw):
+    n = draw(st.integers(15, 80))
+    generic = st.tuples(st.one_of(any_partition(n), double_hook(n)), two_row_or_hook(n),
+                        two_row_or_hook(n))
+    return draw(st.one_of(generic, window_triple(n)))
+
+
+class TestSymmetryInvariance:
+    @given(closed_triples())
+    def test_gamma_is_the_same_on_all_24_presentations(self, triple):
+        # two-row or hook mu and nu: a closed form answers every presentation
+        gamma = compute(*triple, CLOSED_ONLY).gamma
+        for *shapes, _ in table_variants(*triple):
+            assert compute(*shapes, CLOSED_ONLY).gamma == gamma, shapes
 
 
 class TestInvariants:

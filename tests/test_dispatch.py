@@ -24,7 +24,6 @@ from kroncoef.characters import (
 from kroncoef.closed_forms import (
     _CONJ_PATTERNS,
     _PERMUTATIONS,
-    NormalizedTriple,
     _shape_code,
     kron_hook_tworow,
     kron_two_hooks,
@@ -34,9 +33,9 @@ from kroncoef.partitions import conjugate, hook_parts, two_row_parts
 
 
 def reference_variants(lam, mu, nu):
-    """All 24 symmetry variants in the documented deterministic order:
-    the plain permutations first (identity leading), then each
-    pairwise-conjugation pattern crossed with the permutations."""
+    """All 24 symmetry variants as (lam, mu, nu, moves), in the documented
+    deterministic order: the plain permutations first (identity leading),
+    then each pairwise-conjugation pattern crossed with the permutations."""
     original = (lam, mu, nu)
     conjugated = (conjugate(lam), conjugate(mu), conjugate(nu))
     for pattern in _CONJ_PATTERNS:
@@ -50,21 +49,21 @@ def reference_variants(lam, mu, nu):
                 triple[i] = conjugated[perm[i]]
                 triple[j] = conjugated[perm[j]]
                 moves += (f"conjugate({i},{j})",)
-            yield NormalizedTriple(triple[0], triple[1], triple[2], moves)
+            yield triple[0], triple[1], triple[2], moves
 
 
 def reference_match(variant):
     """Match one variant against the closed forms, most specific first,
     reading the shape classes with the partition readers."""
-    lam, mu, nu = variant.lam, variant.mu, variant.nu
+    lam, mu, nu, moves = variant
     if len(lam) <= 1:
-        return KroneckerResult(1 if mu == nu else 0, DELTA_RULE, variant.moves)
+        return KroneckerResult(1 if mu == nu else 0, DELTA_RULE, moves)
     if two_row_parts(mu) is not None and two_row_parts(nu) is not None:
-        return KroneckerResult(kron_two_tworow(lam, mu, nu), TWO_ROW_TWO_ROW, variant.moves)
+        return KroneckerResult(kron_two_tworow(lam, mu, nu), TWO_ROW_TWO_ROW, moves)
     if hook_parts(mu) is not None and hook_parts(nu) is not None:
-        return KroneckerResult(kron_two_hooks(lam, mu, nu), HOOK_HOOK, variant.moves)
+        return KroneckerResult(kron_two_hooks(lam, mu, nu), HOOK_HOOK, moves)
     if hook_parts(mu) is not None and two_row_parts(nu) is not None:
-        return KroneckerResult(kron_hook_tworow(lam, mu, nu), HOOK_TWO_ROW, variant.moves)
+        return KroneckerResult(kron_hook_tworow(lam, mu, nu), HOOK_TWO_ROW, moves)
     return None
 
 
