@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .partitions import Partition, conjugate, enumerate_partitions, z_of
 
@@ -115,12 +116,25 @@ def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(_char(lam, rho) for rho, _ in _classes(n))
 
 
+@lru_cache(maxsize=1)  # the table and sweep loops run nu innermost
+def _pair_weights(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Class size times chi^lam times chi^mu for every class of S_n, aligned
+    with _classes(n).  One entry is kept: a run of queries sharing (lam, mu)
+    reads one character row each instead of three."""
+    return tuple(
+        size * a * b
+        for (_, size), a, b in zip(_classes(n), _char_row(lam, n), _char_row(mu, n))
+    )
+
+
 def clear_cache() -> None:
-    """Drop all memoized character data; callers sweeping many n may use this
-    between sizes to bound memory."""
+    """Drop all memoized character data, the one-entry pair-weight cache
+    included; callers sweeping many n may use this between sizes to bound
+    memory."""
     _strip_cache.clear()
     _classes.cache_clear()
     _char_row.cache_clear()
+    _pair_weights.cache_clear()
 
 
 def _check_sizes(lam: Partition, mu: Partition, nu: Partition) -> None:
@@ -133,16 +147,12 @@ def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> KroneckerResult
 
     Accumulates sum over cycle types of (class size) * chi^lam * chi^mu * chi^nu
     in exact integers, then divides by n! once; divisibility is checked, not
-    assumed.
+    assumed, on every call.  The (class size) * chi^lam * chi^mu factor comes
+    from _pair_weights, so consecutive calls with the same lam and mu share it.
     """
     _check_sizes(lam, mu, nu)
     n = lam.n
-    row_l = _char_row(lam.parts, n)
-    row_m = _char_row(mu.parts, n)
-    row_n = _char_row(nu.parts, n)
-    total = 0
-    for (_, size), a, b, c in zip(_classes(n), row_l, row_m, row_n):
-        total += size * a * b * c
+    total = sum(map(mul, _pair_weights(lam.parts, mu.parts, n), _char_row(nu.parts, n)))
     nf = math.factorial(n)
     if total % nf:
         raise IntegralityViolation(

@@ -79,8 +79,10 @@ def _csv_writer():
     return writer
 
 
-def _csv_fields(lam, mu, nu, result):
-    return [str(lam), str(mu), str(nu), str(result.gamma), result.provenance]
+def _csv_fields(lam_label, mu_label, nu_label, result):
+    """One CSV row; the three shapes come as their text labels (str of the
+    Partition), so both commands write the same row for the same triple."""
+    return [lam_label, mu_label, nu_label, str(result.gamma), result.provenance]
 
 
 @click.group()
@@ -112,7 +114,7 @@ def cmd_compute(lam, mu, nu, method, fmt):
     if fmt == "json":
         click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_ms)))
     elif fmt == "csv":
-        _csv_writer().writerow(_csv_fields(lam, mu, nu, result))
+        _csv_writer().writerow(_csv_fields(str(lam), str(mu), str(nu), result))
     else:
         click.echo(f"gamma = {result.gamma}")
         click.echo(f"provenance = {result.provenance}")
@@ -137,9 +139,8 @@ def _family_pairs(shapes, family):
     return [(mu, nu) for mu in shapes for nu in shapes]
 
 
-def _family_triples(n, family):
-    """Triples of the sweep family for one n, in enumeration order."""
-    shapes = list(enumerate_partitions(n))
+def _family_triples(shapes, family):
+    """Triples of the family over the shapes of one n, in enumeration order."""
     pairs = _family_pairs(shapes, family)
     for lam in shapes:
         for mu, nu in pairs:
@@ -226,15 +227,17 @@ def cmd_table(n, family, fmt):
     """Emit gamma for every triple of the family, one row per triple, in
     enumeration order."""
     writer = _csv_writer() if fmt == "csv" else None
-    for lam, mu, nu in _family_triples(n, family):
+    shapes = list(enumerate_partitions(n))
+    labels = {p: str(p) for p in shapes}  # each shape is formatted once per table
+    for lam, mu, nu in _family_triples(shapes, family):
         result = compute(lam, mu, nu, AUTO)
         if fmt == "json":
             click.echo(json.dumps(_result_record(lam, mu, nu, result, 0)))
         elif fmt == "csv":
-            writer.writerow(_csv_fields(lam, mu, nu, result))
+            writer.writerow(_csv_fields(labels[lam], labels[mu], labels[nu], result))
         else:
-            click.echo(f"{str(lam) or '-':>16}  {str(mu) or '-':>12}  {str(nu) or '-':>12}  "
-                       f"{result.gamma:>4}  {result.provenance}")
+            click.echo(f"{labels[lam] or '-':>16}  {labels[mu] or '-':>12}  "
+                       f"{labels[nu] or '-':>12}  {result.gamma:>4}  {result.provenance}")
 
 
 @main.command("verify")

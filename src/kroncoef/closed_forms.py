@@ -179,8 +179,9 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     if len(lam) >= 3 and lam.parts[2] >= 3:
         return 0
     if all(p == 1 for p in lam.parts):
-        # conjugate the pair {lam, mu}: one-row lam' leaves delta(mu', nu)
-        return 1 if conjugate(mu) == nu else 0
+        # conjugate the pair {lam, mu}: one-row lam' leaves delta(mu', nu),
+        # and mu' = (e1+1, 1^(m-1)) has two rows only when mu = (2, 1^(n-2))
+        return 1 if e1 == lam.n - 2 and nu2 == 1 else 0
     if hook_parts(lam) is not None:
         # gamma is symmetric in its three shapes: the hook pair is (lam, mu)
         return kron_two_hooks(nu, lam, mu)

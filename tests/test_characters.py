@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,7 +13,8 @@ from kroncoef import (
     kron_oracle,
     make_partition,
 )
-from kroncoef.characters import _char
+from kroncoef import characters
+from kroncoef.characters import _char, _classes, clear_cache
 
 
 def test_trivial_character_is_one():
@@ -135,3 +137,66 @@ def test_integrality_violation_unreachable_from_valid_input():
         for mu in enumerate_partitions(6):
             kron_oracle(lam, mu, mu)  # would raise IntegralityViolation on a bug
     assert issubclass(IntegralityViolation, ArithmeticError)
+
+
+def classwise_sum(lam, mu, nu):
+    """The oracle's character sum written out, one class at a time."""
+    n = lam.n
+    total = 0
+    for parts, size in _classes(n):
+        rho = make_partition(parts)
+        total += size * character(lam, rho) * character(mu, rho) * character(nu, rho)
+    gamma, rest = divmod(total, math.factorial(n))
+    assert rest == 0
+    return gamma
+
+
+def test_oracle_matches_classwise_sum_in_any_query_order():
+    # Each (lam, mu) block is cut into runs of random length and the runs of
+    # all blocks are shuffled, so queries that reuse the cached pair weights
+    # alternate with queries that replace them.
+    rng = random.Random(20001084)
+    clear_cache()
+    runs = []
+    for n in range(8):
+        shapes = list(enumerate_partitions(n))
+        for lam in shapes:
+            for mu in shapes:
+                nus = shapes[:]
+                rng.shuffle(nus)
+                while nus:
+                    cut = rng.randint(1, len(nus))
+                    runs.append([(lam, mu, nu) for nu in nus[:cut]])
+                    del nus[:cut]
+    rng.shuffle(runs)
+    for run in runs:
+        for lam, mu, nu in run:
+            assert kron_oracle(lam, mu, nu).gamma == classwise_sum(lam, mu, nu), (lam, mu, nu)
+    info = characters._pair_weights.cache_info()
+    assert info.hits > 1000 and info.misses > 1000
+    assert info.currsize == 1
+
+
+def test_clear_cache_drops_pair_weights():
+    two_one = make_partition([2, 1])
+    kron_oracle(two_one, two_one, two_one)
+    assert characters._pair_weights.cache_info().currsize == 1
+    clear_cache()
+    assert characters._pair_weights.cache_info().currsize == 0
+
+
+def test_integrality_violation_fires_on_a_cache_hit(monkeypatch):
+    lam, mu, nu = (make_partition(p) for p in ([3, 2, 1], [3, 2, 1], [6]))
+    assert kron_oracle(lam, mu, nu).gamma == 1  # fills the pair-weight cache
+    cached = characters._pair_weights
+
+    def corrupted(*key):
+        hits = cached.cache_info().hits
+        weights = cached(*key)
+        assert cached.cache_info().hits == hits + 1  # served from the cache
+        # chi^(6) is 1 on every class, so the sum moves by 1 and 6! no longer divides it
+        return (weights[0] + 1,) + weights[1:]
+
+    monkeypatch.setattr(characters, "_pair_weights", corrupted)
+    with pytest.raises(IntegralityViolation):
+        kron_oracle(lam, mu, nu)

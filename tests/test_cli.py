@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from kroncoef import cli, closed_forms
+from kroncoef import cli, closed_forms, compute, enumerate_partitions, hook_parts, two_row_parts
 from kroncoef.characters import ORACLE, KroneckerResult
 from kroncoef.cli import main, run_sweep
 from kroncoef.closed_forms import InvariantViolation
@@ -114,6 +114,37 @@ class TestTableCommand:
                             lambda lam, mu, nu: KroneckerResult(-1, ORACLE))
         result = invoke("table", "--n", "6", "--format", "csv")
         assert isinstance(result.exception, InvariantViolation)
+
+    def test_rows_equal_per_triple_compute(self):
+        # the label map formats each shape once; the bytes must be those of
+        # formatting every row from scratch
+        for n in range(1, 7):
+            shapes = list(enumerate_partitions(n))
+            two_rows = [p for p in shapes if two_row_parts(p) is not None]
+            hooks = [p for p in shapes if hook_parts(p) is not None]
+            family_pairs = {
+                "two-row": (two_rows, two_rows),
+                "hook-hook": (hooks, hooks),
+                "hook-two-row": (hooks, two_rows),
+                "all": (shapes, shapes),
+            }
+            for family, (mus, nus) in family_pairs.items():
+                csv_text = io.StringIO()
+                writer = csv.writer(csv_text, lineterminator="\n")
+                writer.writerow(["lambda", "mu", "nu", "gamma", "provenance"])
+                plain = []
+                for lam in shapes:
+                    for mu in mus:
+                        for nu in nus:
+                            r = compute(lam, mu, nu)
+                            writer.writerow([str(lam), str(mu), str(nu), str(r.gamma),
+                                             r.provenance])
+                            plain.append(f"{str(lam):>16}  {str(mu):>12}  {str(nu):>12}  "
+                                         f"{r.gamma:>4}  {r.provenance}\n")
+                got_csv = invoke("table", "--n", str(n), "--family", family, "--format", "csv")
+                got_plain = invoke("table", "--n", str(n), "--family", family)
+                assert got_csv.stdout_bytes == csv_text.getvalue().encode(), (n, family)
+                assert got_plain.stdout_bytes == "".join(plain).encode(), (n, family)
 
     def test_n_below_one_is_a_parse_error(self):
         for n in ("0", "-1"):

@@ -255,6 +255,16 @@ class TestHookTwoRow:
             if not 4 <= e1 <= 7:
                 assert kron_hook_tworow(lam, mu, nu) == 0, mu
 
+    def test_single_column_lambda(self, monkeypatch):
+        # conjugating {lam, mu} leaves delta(mu', nu); the branch reads it off
+        # the leg of mu and nu2, so it must not build mu'
+        monkeypatch.setattr(closed_forms, "conjugate", None)
+        for n in range(3, 13):
+            col = make_partition([1] * n)
+            for mu in hooks_of(n):
+                for nu in two_rows_of(n):
+                    assert kron_hook_tworow(col, mu, nu) == oracle(col, mu, nu), (mu, nu)
+
     def test_documented_triple(self):
         lam = make_partition([2, 2, 1])
         mu = make_partition([2, 1, 1, 1])
