@@ -1,8 +1,9 @@
 """Exact irreducible characters of the symmetric group and the Kronecker
 coefficient they define.
 
-Characters are computed by the border-strip (Murnaghan-Nakayama) recursion in
-beta-number form and memoized; everything stays in arbitrary-precision integers.
+Characters are computed by the border-strip (Murnaghan-Nakayama) recursion,
+which removes each strip straight from the parts, and memoized; everything
+stays in arbitrary-precision integers.
 This module is the independent ground truth the closed forms are tested against.
 """
 
@@ -56,7 +57,12 @@ _strip_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
 
 def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion on raw part tuples."""
+    """Murnaghan-Nakayama recursion on raw part tuples, removing each border
+    strip of length rho[0] straight from the parts.  The strip with top row i
+    ends on the diagonal foot = lam[i] - i - rho[0], in row j - 1 for the first
+    row j below i with lam[j] - j < foot; there is none if a row lies on that
+    diagonal.  Rows i+1 .. j-1 move up a row, one cell shorter, and the sign
+    is (-1)^(j-i-1)."""
     if not rho:
         return 1 if not lam else 0
     key = (lam, rho)
@@ -65,22 +71,20 @@ def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
         return cached
     strip, rest = rho[0], rho[1:]
     length = len(lam)
-    beta = [lam[i] + length - 1 - i for i in range(length)]
-    beta_set = set(beta)
     total = 0
-    for b in beta:
-        nb = b - strip
-        if nb < 0 or nb in beta_set:
+    for i in range(length):
+        foot = lam[i] - i - strip
+        if foot + length - 1 < 0:
+            break  # lam[i] - i falls with i, so no lower row has a strip either
+        j = i + 1
+        while j < length and lam[j] - j > foot:
+            j += 1
+        if j < length and lam[j] - j == foot:
             continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        m = len(new_beta)
-        new_lam = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
-        new_lam = tuple(p for p in new_lam if p > 0)
-        term = _char(new_lam, rest)
-        total += -term if height % 2 else term
+        last = foot + j - 1
+        moved = tuple(p - 1 for p in lam[i + 1:j] if p > 1)
+        term = _char(lam[:i] + moved + ((last,) if last else ()) + lam[j:], rest)
+        total += -term if (j - i - 1) % 2 else term
     _strip_cache[key] = total
     return total
 

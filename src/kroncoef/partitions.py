@@ -4,6 +4,7 @@ that the closed formulas consume."""
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator
 
 
@@ -16,14 +17,16 @@ class Partition:
     unique partition of 0.
 
     The constructor sorts its input and strips zeros, so ``Partition([1, 3, 0, 4])``
-    equals ``Partition([4, 3, 1])``.  Instances are immutable by convention and
-    hashable; every operation in this package treats them as values.
+    equals ``Partition([4, 3, 1])``.  Parts are read with ``operator.index``, so
+    a float or a string raises ``TypeError`` rather than being truncated or
+    parsed.  Instances are immutable by convention and hashable; every
+    operation in this package treats them as values.
     """
 
     __slots__ = ("parts", "n")
 
     def __init__(self, raw: Iterable[int] = ()):
-        parts = sorted((int(p) for p in raw), reverse=True)
+        parts = sorted(map(operator.index, raw), reverse=True)
         if parts and parts[-1] < 0:
             raise NegativePart(f"negative entries in partition input: {parts}")
         while parts and parts[-1] == 0:

@@ -13,11 +13,12 @@ the Kronecker machinery from a direction that never touches lattice counting.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .characters import _char, kron_oracle
+from .characters import _char_row, _classes, kron_oracle
 from .closed_forms import AUTO, compute
 from .partitions import (
     Partition,
@@ -25,7 +26,6 @@ from .partitions import (
     enumerate_partitions,
     hook_parts,
     two_row_parts,
-    z_of,
 )
 
 
@@ -94,21 +94,14 @@ def power_sum_eval(r: int, alphabet: SignedAlphabet) -> Fraction:
 
 def schur_eval_characters(lam: Partition, alphabet: SignedAlphabet) -> Fraction:
     """Schur function via the power-sum expansion
-    s_lam = sum over cycle types rho of chi^lam(rho)/z_rho * p_rho."""
+    s_lam = (1/n!) sum over cycle types rho of |C_rho| chi^lam(rho) p_rho."""
     n = lam.n
-    if n == 0:
-        return Fraction(1)
     powers = {r: power_sum_eval(r, alphabet) for r in range(1, n + 1)}
     total = Fraction(0)
-    for rho in enumerate_partitions(n):
-        chi = _char(lam.parts, rho.parts)
-        if chi == 0:
-            continue
-        term = Fraction(chi, z_of(rho))
-        for part in rho.parts:
-            term *= powers[part]
-        total += term
-    return total
+    for (rho, size), chi in zip(_classes(n), _char_row(lam.parts, n)):
+        if chi:
+            total += math.prod((powers[part] for part in rho), start=Fraction(size * chi))
+    return total / math.factorial(n)
 
 
 def _det(matrix: list[list[Fraction]]) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -51,6 +52,53 @@ def test_conjugate_twists_by_sign():
             for rho in enumerate_partitions(n):
                 sign = (-1) ** (n - len(rho))
                 assert character(lam_c, rho) == sign * character(lam, rho)
+
+
+@lru_cache(maxsize=None)
+def reference_char(lam, rho):
+    """Murnaghan-Nakayama in beta-number form, the twin of _char: slide one
+    bead of the beta set down rho[0] places onto a free position; the sign
+    counts the beads it passes."""
+    if not rho:
+        return 1 if not lam else 0
+    strip, rest = rho[0], rho[1:]
+    length = len(lam)
+    beta = [lam[i] + length - 1 - i for i in range(length)]
+    total = 0
+    for b in beta:
+        nb = b - strip
+        if nb < 0 or nb in beta:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted([x for x in beta if x != b] + [nb], reverse=True)
+        m = len(new_beta)
+        new_lam = tuple(x - (m - 1 - i) for i, x in enumerate(new_beta) if x > m - 1 - i)
+        total += (-1) ** height * reference_char(new_lam, rest)
+    return total
+
+
+def test_char_matches_beta_number_reference():
+    clear_cache()
+    pairs = 0
+    for n in range(13):
+        shapes = [p.parts for p in enumerate_partitions(n)]
+        for lam in shapes:
+            for rho in shapes:
+                assert _char(lam, rho) == reference_char(lam, rho), (lam, rho)
+                pairs += 1
+    assert pairs == 12648
+
+
+@pytest.mark.parametrize("triple, gamma, entries", [
+    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 1222),
+    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 2383),
+    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 4247),
+])
+def test_cold_oracle_strip_cache_size(triple, gamma, entries):
+    # one cold query fills the strip memo with exactly these many (lam, rho) entries
+    clear_cache()
+    assert kron_oracle(*(make_partition(p) for p in triple)).gamma == gamma
+    assert len(characters._strip_cache) == entries
 
 
 def test_dimensions():

@@ -66,6 +66,7 @@ class TestComputeCommand:
     def test_parse_error_exit_code(self):
         assert invoke("compute", "--lambda", "4,x", "--mu", "2,2", "--nu", "2,2").exit_code == 2
         assert invoke("compute", "--lambda", "4,-1", "--mu", "2,2", "--nu", "2,2").exit_code == 2
+        assert invoke("compute", "--lambda", "2.5", "--mu", "2,2", "--nu", "2,2").exit_code == 2
 
     def test_size_mismatch_exit_code(self):
         result = invoke("compute", "--lambda", "4", "--mu", "2,2", "--nu", "3,2")

@@ -53,6 +53,13 @@ class TestMakePartition:
         with pytest.raises(NegativePart):
             make_partition([3, -1])
 
+    def test_non_integer_parts_rejected(self):
+        # parts are read with operator.index: nothing is truncated or parsed
+        with pytest.raises(TypeError):
+            Partition([2.5, 1])
+        with pytest.raises(TypeError):
+            Partition(["3"])
+
     def test_text_round_trip(self):
         assert str(Partition.from_text("4,3,1")) == "4,3,1"
         assert Partition.from_text("") == Partition()
