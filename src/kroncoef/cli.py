@@ -60,16 +60,20 @@ class PartitionParam(click.ParamType):
 PARTITION = PartitionParam()
 
 
-def _result_record(lam, mu, nu, result, elapsed_ms):
-    return {
+def _result_record(lam, mu, nu, result, elapsed_us=None):
+    """One result as JSON; ``table`` passes no time and gets ``elapsed_ms`` 0."""
+    record = {
         "lambda": list(lam.parts),
         "mu": list(mu.parts),
         "nu": list(nu.parts),
         "gamma": str(result.gamma),
         "provenance": result.provenance,
         "moves": list(result.moves),
-        "elapsed_ms": elapsed_ms,
+        "elapsed_ms": 0 if elapsed_us is None else elapsed_us // 1000,
     }
+    if elapsed_us is not None:
+        record["elapsed_us"] = elapsed_us
+    return record
 
 
 def _csv_writer():
@@ -110,9 +114,9 @@ def cmd_compute(lam, mu, nu, method, fmt):
     except NoClosedFormApplicable as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    elapsed_us = int((time.perf_counter() - start) * 1_000_000)
     if fmt == "json":
-        click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_ms)))
+        click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
     elif fmt == "csv":
         _csv_writer().writerow(_csv_fields(str(lam), str(mu), str(nu), result))
     else:
@@ -232,7 +236,7 @@ def cmd_table(n, family, fmt):
     for lam, mu, nu in _family_triples(shapes, family):
         result = compute(lam, mu, nu, AUTO)
         if fmt == "json":
-            click.echo(json.dumps(_result_record(lam, mu, nu, result, 0)))
+            click.echo(json.dumps(_result_record(lam, mu, nu, result)))
         elif fmt == "csv":
             writer.writerow(_csv_fields(labels[lam], labels[mu], labels[nu], result))
         else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from typing import Iterable, Iterator
 
 
@@ -20,10 +21,12 @@ class Partition:
     equals ``Partition([4, 3, 1])``.  Parts are read with ``operator.index``, so
     a float or a string raises ``TypeError`` rather than being truncated or
     parsed.  Instances are immutable by convention and hashable; every
-    operation in this package treats them as values.
+    operation in this package treats them as values.  Mutating ``parts`` is
+    unsupported: besides the hash, it would leave the conjugate that
+    ``conjugate`` memoizes on the instance stale.
     """
 
-    __slots__ = ("parts", "n")
+    __slots__ = ("parts", "n", "_conjugate")
 
     def __init__(self, raw: Iterable[int] = ()):
         parts = sorted(map(operator.index, raw), reverse=True)
@@ -33,6 +36,7 @@ class Partition:
             parts.pop()
         self.parts: tuple[int, ...] = tuple(parts)
         self.n: int = sum(parts)
+        self._conjugate: Partition | None = None
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -76,10 +80,23 @@ def make_partition(raw: Iterable[int]) -> Partition:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram: lam'_i = #{j : lam_j >= i}."""
-    if not lam.parts:
-        return Partition()
-    return Partition(sum(1 for p in lam.parts if p >= i) for i in range(1, lam.parts[0] + 1))
+    """Transpose of the Young diagram: lam'_i = #{j : lam_j >= i}.
+
+    Linear in the shape: the distinct parts are walked from the smallest up
+    (the parts are stored decreasing, so their counts are read in reverse),
+    and the columns between two consecutive distinct widths all have the
+    height of the rows at least that wide, so the columns come out already in
+    decreasing order.  The result is memoized on ``lam``; the conjugate keeps
+    no pointer back, so no reference cycle forms.
+    """
+    if lam._conjugate is None:
+        height, below, columns = len(lam.parts), 0, []
+        for width, rows in reversed(Counter(lam.parts).items()):
+            columns += [height] * (width - below)
+            height -= rows
+            below = width
+        lam._conjugate = Partition(columns)
+    return lam._conjugate
 
 
 def two_row_parts(lam: Partition) -> tuple[int, int] | None:

@@ -45,7 +45,9 @@ class TestComputeCommand:
         )
         assert first.exit_code == 0
         record = json.loads(first.output)
-        assert set(record) == {"lambda", "mu", "nu", "gamma", "provenance", "moves", "elapsed_ms"}
+        assert set(record) == {"lambda", "mu", "nu", "gamma", "provenance", "moves", "elapsed_ms",
+                               "elapsed_us"}
+        assert record["elapsed_ms"] == record["elapsed_us"] // 1000
         again = invoke(
             "compute",
             "--lambda", ",".join(map(str, record["lambda"])),

@@ -1,4 +1,6 @@
 import math
+import pickle
+import random
 
 import pytest
 
@@ -66,7 +68,66 @@ class TestMakePartition:
         assert str(Partition()) == ""
 
 
+def reference_conjugate(lam):
+    """The column-count definition lam'_i = #{j : lam_j >= i}, one pass over
+    the parts per column: the twin that the linear-time conjugate is checked
+    against."""
+    if not lam.parts:
+        return Partition()
+    return Partition(sum(1 for p in lam.parts if p >= i) for i in range(1, lam.parts[0] + 1))
+
+
+def large_shapes():
+    """Seeded two-row shapes to n = 5000 and hooks to n = 1000 (each with its
+    extremes), rectangles and staircases."""
+    rng = random.Random(20001084)
+    shapes = [[5000], [2500, 2500], [1] * 1000, [999, 1], [500] + [1] * 500]
+    for _ in range(20):
+        n = rng.randint(2, 5000)
+        second = rng.randint(0, n // 2)
+        shapes.append([n - second, second])
+    for _ in range(10):
+        n = rng.randint(3, 1000)
+        arm = rng.randint(2, n - 1)
+        shapes.append([arm] + [1] * (n - arm))
+    for rows, cols in ((1, 70), (70, 1), (40, 60), (60, 40), (3, 500), (500, 3)):
+        shapes.append([cols] * rows)
+    for top in (2, 3, 17, 100, 180):
+        shapes.append(list(range(top, 0, -1)))
+        shapes.append([p for p in range(top, 0, -1) for _ in range(3)])
+    return [Partition(parts) for parts in shapes]
+
+
 class TestConjugate:
+    def test_matches_reference_to_20(self):
+        for n in range(21):
+            for lam in enumerate_partitions(n):
+                assert conjugate(lam) == reference_conjugate(lam)
+
+    def test_matches_reference_on_large_shapes(self):
+        for lam in large_shapes():
+            assert conjugate(lam) == reference_conjugate(lam)
+
+    def test_memoized_on_the_instance(self):
+        lam = make_partition([5, 3, 3, 1])
+        first = conjugate(lam)
+        assert conjugate(lam) is first
+        assert first._conjugate is None  # no back-pointer, so no reference cycle
+        assert conjugate(first) == lam
+
+    def test_pickle_round_trip(self):
+        lam = make_partition([6, 4, 4, 2, 1])
+        assert pickle.loads(pickle.dumps(lam)) == lam
+        conjugate(lam)
+        again = pickle.loads(pickle.dumps(lam))
+        assert again == lam
+        assert conjugate(again) == conjugate(lam)
+
+    def test_instances_have_no_dict(self):
+        lam = make_partition([3, 1])
+        conjugate(lam)
+        assert not hasattr(lam, "__dict__")
+
     def test_documented_example(self):
         assert conjugate(make_partition([4, 3, 1])) == make_partition([3, 2, 2, 1])
 
