@@ -143,10 +143,11 @@ def _family_pairs(shapes, family):
     return [(mu, nu) for mu in shapes for nu in shapes]
 
 
-def _family_triples(shapes, family):
-    """Triples of the family over the shapes of one n, in enumeration order."""
+def _family_triples(lams, shapes, family):
+    """Triples of the family over the shapes of one n, in enumeration order,
+    with lambda running over lams only."""
     pairs = _family_pairs(shapes, family)
-    for lam in shapes:
+    for lam in lams:
         for mu, nu in pairs:
             yield lam, mu, nu
 
@@ -177,13 +178,13 @@ class SweepReport:
         self.max_gamma = max(self.max_gamma, other.max_gamma)
 
 
-def _sweep_chunk(family: str, n: int, lam_parts_list: list) -> SweepReport:
-    """Verify all family triples whose lambda lies in the given chunk."""
-    report = SweepReport(n=n, family=family)
-    pairs = _family_pairs(list(enumerate_partitions(n)), family)
-    for parts in lam_parts_list:
-        lam = Partition(parts)
-        for mu, nu in pairs:
+def _sweep_chunk(family: str, n_max: int, first: int, step: int) -> SweepReport:
+    """Verify the family triples of every n <= n_max whose lambda is one of
+    the shapes[first::step] of that n."""
+    report = SweepReport(n=n_max, family=family)
+    for n in range(1, n_max + 1):
+        shapes = list(enumerate_partitions(n))
+        for lam, mu, nu in _family_triples(shapes[first::step], shapes, family):
             closed = _closed_value(family, lam, mu, nu)
             oracle = kron_oracle(lam, mu, nu).gamma
             report.triples_checked += 1
@@ -200,24 +201,22 @@ def run_sweep(family: str, n_max: int, jobs: int = 1) -> SweepReport:
     """Closed-form-versus-oracle sweep over every n <= n_max of one of the
     SWEEP_FAMILIES; any other family raises ValueError.
 
-    Each n runs on min(jobs, CPU count, p(n)) worker processes, one chunk of
-    lambdas per worker; a single worker runs in-process.
+    The sweep runs on at most jobs worker processes, never more than the CPU
+    count or p(n_max), in one pool: worker i sweeps every n for the lambdas
+    shapes[i::workers] of that n.  A single worker runs in-process.
     """
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"family must be one of {SWEEP_FAMILIES}, got {family!r}")
     start = time.perf_counter()
     total = SweepReport(n=n_max, family=family)
-    for n in range(1, n_max + 1):
-        lam_parts = [p.parts for p in enumerate_partitions(n)]
-        workers = min(jobs, os.cpu_count() or 1, len(lam_parts))
-        if workers > 1:
-            chunks = [lam_parts[i::workers] for i in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for report in pool.map(_sweep_chunk, [family] * len(chunks),
-                                       [n] * len(chunks), chunks):
-                    total.merge(report)
-        else:
-            total.merge(_sweep_chunk(family, n, lam_parts))
+    workers = min(jobs, os.cpu_count() or 1, sum(1 for _ in enumerate_partitions(n_max)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for report in pool.map(_sweep_chunk, [family] * workers, [n_max] * workers,
+                                   range(workers), [workers] * workers):
+                total.merge(report)
+    else:
+        total.merge(_sweep_chunk(family, n_max, 0, 1))
     total.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return total
 
@@ -233,7 +232,7 @@ def cmd_table(n, family, fmt):
     writer = _csv_writer() if fmt == "csv" else None
     shapes = list(enumerate_partitions(n))
     labels = {p: str(p) for p in shapes}  # each shape is formatted once per table
-    for lam, mu, nu in _family_triples(shapes, family):
+    for lam, mu, nu in _family_triples(shapes, shapes, family):
         result = compute(lam, mu, nu, AUTO)
         if fmt == "json":
             click.echo(json.dumps(_result_record(lam, mu, nu, result)))
@@ -248,8 +247,8 @@ def cmd_table(n, family, fmt):
 @click.option("--family", type=click.Choice(FAMILIES), default="all", show_default=True)
 @click.option("--n-max", type=click.IntRange(min=1), required=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Most worker processes for the sweep, capped at the CPU count "
-                   "(1 = in-process).")
+              help="Most worker processes for the sweep, never more than the CPU "
+                   "count or p(n_max) (1 = in-process).")
 @click.option("--format", "fmt", type=click.Choice(("plain", "json")), default="plain",
               show_default=True)
 def cmd_verify(family, n_max, jobs, fmt):

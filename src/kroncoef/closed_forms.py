@@ -156,14 +156,17 @@ def kron_two_hooks(lam: Partition, mu: Partition, nu: Partition) -> int:
 def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient for hook mu, two-row nu and arbitrary lam.
 
-    Cases on lam: one-row is the delta rule; (3,3) in lam gives 0; a single
-    column is the delta rule after conjugating the pair {lam, mu}; a hook
-    makes (lam, mu) a hook pair, so by the S3 symmetry of gamma the value is
-    kron_two_hooks(nu, lam, mu), with the two-row nu (a double hook, a hook
-    (m, 1) or one-row) in its arbitrary slot; a double hook uses the
-    four-term window formula in e1 = leg of mu and nu2, which needs
-    n4 - n3 <= d1; a wider double hook conjugates the pair {lam, mu} in the
-    parameters (d1, d2, n3, n4, e1), not in the shapes.
+    nu = (n-1, 1) is itself a hook, so (mu, nu) is a hook pair for
+    kron_two_hooks.  Every other nu is not a hook, and the cases are on lam.  With lam2 <= 1,
+    a hook makes (lam, mu) a hook pair, so by the S3 symmetry of gamma the
+    value is kron_two_hooks(nu, lam, mu), with the two-row nu (a double hook
+    or one-row) in its arbitrary slot; one row or one column gives 0, since
+    it leaves delta(mu, nu) or, after conjugating the pair {lam, mu},
+    delta(mu', nu), and mu and mu' are hooks while nu is not.  (3,3) in lam
+    gives 0.  Every other lam is a double hook and uses the four-term window
+    formula in e1 = leg of mu and nu2, which needs n4 - n3 <= d1; a wider
+    double hook conjugates the pair {lam, mu} in the parameters
+    (d1, d2, n3, n4, e1), not in the shapes.
     """
     _check_sizes(lam, mu, nu)
     hk_mu = hook_parts(mu)
@@ -174,17 +177,12 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise ShapeMismatch(f"nu must have at most two parts: {nu}")
     e1, _ = hk_mu
     nu2 = tr_nu[1]
-    if len(lam) <= 1:
-        return 1 if mu == nu else 0
+    if nu2 == 1:
+        return kron_two_hooks(lam, mu, nu)
+    if len(lam) == 1 or lam.parts[1] == 1:
+        return 0 if hook_parts(lam) is None else kron_two_hooks(nu, lam, mu)
     if len(lam) >= 3 and lam.parts[2] >= 3:
         return 0
-    if all(p == 1 for p in lam.parts):
-        # conjugate the pair {lam, mu}: one-row lam' leaves delta(mu', nu),
-        # and mu' = (e1+1, 1^(m-1)) has two rows only when mu = (2, 1^(n-2))
-        return 1 if e1 == lam.n - 2 and nu2 == 1 else 0
-    if hook_parts(lam) is not None:
-        # gamma is symmetric in its three shapes: the hook pair is (lam, mu)
-        return kron_two_hooks(nu, lam, mu)
     dh = double_hook_parts(lam)
     if dh is None:  # remaining shapes are double hooks by elimination
         raise InvariantViolation(f"lam escaped the case split of the hook/two-row formula: {lam}")

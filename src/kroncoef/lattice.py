@@ -14,9 +14,9 @@ A note on orientation, because the two counting families genuinely differ:
 * ``gamma_region_*`` count cones in the transposed frame (steps decrease the
   *row*, moving the column by +-1), the frame presumed by the closed form's
   case split on the starting column and the frame in which the two-row
-  Kronecker formula consumes these counts.  The brute force expresses this
-  through ``reachable`` by swapping both coordinate pairs.  The closed form
-  holds at every start point (x, y), on both sides of the diagonal: the
+  Kronecker formula consumes these counts.  The brute force writes out the
+  ``reachable`` test inline with both coordinate pairs swapped.  The closed
+  form holds at every start point (x, y), on both sides of the diagonal: the
   two-row formula evaluates it at x = nu2 < y = mu2 + 1.
 """
 

@@ -114,11 +114,10 @@ def hook_parts(lam: Partition) -> tuple[int, int] | None:
     One-row shapes and single columns are deliberately excluded; the hook
     formulas assume a genuine arm and a genuine leg.
     """
-    if len(lam) < 2 or lam.parts[0] < 2:
+    p = lam.parts
+    if len(p) < 2 or p[0] < 2 or p[1] != 1:  # parts decrease: all after p[1] are 1 too
         return None
-    if any(p != 1 for p in lam.parts[1:]):
-        return None
-    return len(lam) - 1, lam.parts[0]
+    return len(p) - 1, p[0]
 
 
 def double_hook_parts(lam: Partition) -> tuple[int, int, int, int] | None:
@@ -134,9 +133,7 @@ def double_hook_parts(lam: Partition) -> tuple[int, int, int, int] | None:
         return None
     if len(p) > 2 and p[2] > 2:
         return None
-    d1 = sum(1 for x in p if x == 1)
-    d2 = sum(1 for x in p[2:] if x == 2)
-    return d1, d2, p[1], p[0]
+    return p.count(1), p[2:].count(2), p[1], p[0]
 
 
 def z_of(lam: Partition) -> int:

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 from click.testing import CliRunner
 
-from kroncoef import cli, closed_forms, compute, enumerate_partitions, hook_parts, two_row_parts
+from kroncoef import (Partition, cli, closed_forms, compute, enumerate_partitions, hook_parts,
+                      two_row_parts)
 from kroncoef.characters import ORACLE, KroneckerResult
 from kroncoef.cli import main, run_sweep
 from kroncoef.closed_forms import InvariantViolation
@@ -198,10 +200,49 @@ class TestVerifyCommand:
         assert report.triples_checked > 0
 
     def test_parallel_jobs_agree(self):
+        for family in cli.SWEEP_FAMILIES:
+            serial = asdict(run_sweep(family, 6, jobs=1))
+            parallel = asdict(run_sweep(family, 6, jobs=2))
+            del serial["elapsed_ms"], parallel["elapsed_ms"]
+            assert parallel == serial, family
+            assert serial["mismatches"] == [] and serial["triples_checked"] > 0
+
+    def test_mismatches_are_reported(self, monkeypatch):
+        # a two-row kernel off by one on lambda = (3,3) and (2,2,2), for any
+        # (mu, nu): the serial and the pooled sweep see the same faults
+        real = cli.kron_two_tworow
+        bad = {(3, 3), (2, 2, 2)}
+
+        def off_by_one(lam, mu, nu):
+            return real(lam, mu, nu) + (lam.parts in bad)
+
+        monkeypatch.setattr(cli, "kron_two_tworow", off_by_one)
+        expected = sorted(
+            ([list(lam.parts), list(mu.parts), list(nu.parts)], real(lam, mu, nu))
+            for lam in map(Partition, bad)
+            for mu in enumerate_partitions(6) if two_row_parts(mu) is not None
+            for nu in enumerate_partitions(6) if two_row_parts(nu) is not None
+        )
+
+        def faults(mismatches):
+            assert all(m["closed"] == m["oracle"] + 1 for m in mismatches)
+            return sorted(([m["lambda"], m["mu"], m["nu"]], m["oracle"]) for m in mismatches)
+
+        plain = invoke("verify", "--family", "two-row", "--n-max", "6")
+        assert plain.exit_code == 1
+        assert plain.output.splitlines()[0].endswith(" MISMATCH")
+        offending = [ln for ln in plain.output.splitlines() if ln.startswith("  offending triple: ")]
+        assert len(offending) == len(expected) == 2 * 4 * 4
+        as_json = invoke("verify", "--family", "two-row", "--n-max", "6", "--format", "json")
+        assert as_json.exit_code == 1
+        report = json.loads(as_json.output)
+        assert faults(report["mismatches"]) == expected
+        assert offending == [f"  offending triple: {m}" for m in report["mismatches"]]
         serial = run_sweep("two-row", 6, jobs=1)
-        parallel = run_sweep("two-row", 6, jobs=2)
-        assert serial.triples_checked == parallel.triples_checked
-        assert parallel.mismatches == []
+        pooled = run_sweep("two-row", 6, jobs=2)  # a real pool; its workers fork
+        assert faults(serial.mismatches) == faults(pooled.mismatches) == expected
+        assert serial.triples_checked == pooled.triples_checked == report["triples_checked"]
+        assert serial.max_gamma == pooled.max_gamma == report["max_gamma"]
 
     def test_jobs_below_one_is_a_parse_error(self):
         for jobs in ("0", "-3"):
@@ -220,8 +261,9 @@ class TestVerifyCommand:
                 run_sweep(family, 3)
 
     def test_workers_capped_by_cpus_and_lambdas(self, monkeypatch):
-        # a fake pool records its size and maps in-process: no worker starts
-        sizes = []
+        # a fake pool records its size and its task count and maps
+        # in-process: no worker starts
+        sizes, tasks = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -234,19 +276,24 @@ class TestVerifyCommand:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                calls = list(zip(*iterables))
+                tasks.append(len(calls))
+                return [fn(*args) for args in calls]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         report = run_sweep("two-row", 6, jobs=500)
-        # p(n) = 1, 2, 3, 5, 7, 11: n = 1 stays in-process
-        assert sizes == [2, 3, 4, 4, 4]
+        # one pool per sweep, sized min(jobs, CPUs, p(6) = 11), one task per worker
+        assert sizes == [4] and tasks == [4]
         serial = run_sweep("two-row", 6, jobs=1)
         assert report.triples_checked == serial.triples_checked
         assert report.mismatches == [] and report.max_gamma == serial.max_gamma
+        run_sweep("two-row", 2, jobs=500)  # p(2) = 2 workers
+        assert sizes == [4, 2] and tasks == [4, 2]
+        run_sweep("two-row", 1, jobs=500)  # p(1) = 1: in-process
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker
         run_sweep("two-row", 6, jobs=500)
-        assert sizes == [2, 3, 4, 4, 4]
+        assert sizes == [4, 2] and tasks == [4, 2]
 
 
 class TestSelftestCommand:

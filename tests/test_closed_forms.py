@@ -148,6 +148,11 @@ class TestTwoRowCorollary:
                         assert got == kron_two_tworow(lam, mu, nu)
                         assert got == oracle(lam, mu, nu)
 
+    def test_shape_mismatch(self):
+        p = make_partition([2, 2])
+        with pytest.raises(ShapeMismatch):
+            kron_tworow_corollary(make_partition([2, 1, 1]), p, p)
+
     def test_certifies_general_form_beyond_oracle_range(self):
         # the oracle cannot reach these sizes; the two formulas are derived
         # independently, so their agreement certifies the routed one
@@ -256,14 +261,21 @@ class TestHookTwoRow:
                 assert kron_hook_tworow(lam, mu, nu) == 0, mu
 
     def test_single_column_lambda(self, monkeypatch):
-        # conjugating {lam, mu} leaves delta(mu', nu); the branch reads it off
-        # the leg of mu and nu2, so it must not build mu'
+        # conjugating {lam, mu} leaves delta(mu', nu); the kernel must answer
+        # it without building mu'
         monkeypatch.setattr(closed_forms, "conjugate", None)
         for n in range(3, 13):
             col = make_partition([1] * n)
             for mu in hooks_of(n):
                 for nu in two_rows_of(n):
                     assert kron_hook_tworow(col, mu, nu) == oracle(col, mu, nu), (mu, nu)
+
+    def test_shape_mismatch(self):
+        lam = make_partition([2, 2, 1])
+        with pytest.raises(ShapeMismatch):  # mu not a hook
+            kron_hook_tworow(lam, make_partition([3, 2]), make_partition([3, 2]))
+        with pytest.raises(ShapeMismatch):  # nu of three rows
+            kron_hook_tworow(lam, make_partition([3, 1, 1]), make_partition([2, 2, 1]))
 
     def test_documented_triple(self):
         lam = make_partition([2, 2, 1])
