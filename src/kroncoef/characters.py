@@ -1,9 +1,16 @@
 """Exact irreducible characters of the symmetric group and the Kronecker
 coefficient they define.
 
-Characters are computed by the border-strip (Murnaghan-Nakayama) recursion,
-which removes each strip straight from the parts, and memoized; everything
-stays in arbitrary-precision integers.
+Characters are computed by the border-strip (Murnaghan-Nakayama) recursion on
+the bead set (abacus) of a shape, held as the bits of one int: row i of an
+l-row shape is a bead at position lam_i + l - 1 - i.  Removing a strip of
+length r moves one bead down r places onto a free position, with sign -1 to
+the number of beads it passes; a few shifts find every such bead, and
+``int.bit_count`` gives the sign.  A bead at position 0 stands for a zero part,
+so the trailing run of one-bits is shifted off after each move, which gives
+every shape exactly one code.  The recursion never leaves this form, the memo
+is keyed by (code, cycle type), and everything stays in arbitrary-precision
+integers.
 This module is the independent ground truth the closed forms are tested against.
 """
 
@@ -53,40 +60,60 @@ class KroneckerResult:
     moves: tuple[str, ...] = ()
 
 
-_strip_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+_strip_cache: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
-def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion on raw part tuples, removing each border
-    strip of length rho[0] straight from the parts.  The strip with top row i
-    ends on the diagonal foot = lam[i] - i - rho[0], in row j - 1 for the first
-    row j below i with lam[j] - j < foot; there is none if a row lies on that
-    diagonal.  Rows i+1 .. j-1 move up a row, one cell shorter, and the sign
-    is (-1)^(j-i-1)."""
+def _code(parts: tuple[int, ...]) -> int:
+    """Bead set of a shape as the bits of one int: row i of an l-row shape puts
+    a bead at position parts[i] + l - 1 - i.  The empty shape is 0, and bit 0
+    is never set, since the lowest bead sits at the last (positive) part."""
+    length = len(parts)
+    code = 0
+    for i, part in enumerate(parts):
+        code |= 1 << (part + length - 1 - i)
+    return code
+
+
+def _char_code(w: int, rho: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama recursion on the bead set w (see _code).
+
+    Removing a border strip of length r = rho[0] moves one bead from a
+    position b >= r down to the free position b - r, so the beads that can
+    move are w & ~(w << r) & ~((1 << r) - 1), and the child is
+    w ^ (1 << b) ^ (1 << (b - r)).  The sign is -1 to the number of beads
+    strictly between b - r and b, the popcount of r - 1 bits of w.  A bead at
+    position 0 stands for a zero part, so after each move the trailing run of
+    one-bits is shifted off (~child & (child + 1) is the lowest free
+    position): every shape keeps one code, and the memo shares sub-shapes
+    reached along different routes."""
     if not rho:
-        return 1 if not lam else 0
-    key = (lam, rho)
+        return 1 if not w else 0
+    key = (w, rho)
     cached = _strip_cache.get(key)
     if cached is not None:
         return cached
     strip, rest = rho[0], rho[1:]
-    length = len(lam)
+    between = (1 << (strip - 1)) - 1
+    movable = w & ~(w << strip) & ~((1 << strip) - 1)
     total = 0
-    for i in range(length):
-        foot = lam[i] - i - strip
-        if foot + length - 1 < 0:
-            break  # lam[i] - i falls with i, so no lower row has a strip either
-        j = i + 1
-        while j < length and lam[j] - j > foot:
-            j += 1
-        if j < length and lam[j] - j == foot:
-            continue
-        last = foot + j - 1
-        moved = tuple(p - 1 for p in lam[i + 1:j] if p > 1)
-        term = _char(lam[:i] + moved + ((last,) if last else ()) + lam[j:], rest)
-        total += -term if (j - i - 1) % 2 else term
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        child = w ^ bead ^ (bead >> strip)
+        child >>= (~child & (child + 1)).bit_length() - 1
+        term = _char_code(child, rest)
+        foot = bead.bit_length() - strip  # b - r + 1
+        if ((w >> foot) & between).bit_count() & 1:
+            total -= term
+        else:
+            total += term
     _strip_cache[key] = total
     return total
+
+
+def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """Character value of the shape with parts lam at the cycle type rho."""
+    return _char_code(_code(lam), rho)
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -117,7 +144,8 @@ def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 @lru_cache(maxsize=None)
 def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Character values of lam across all classes of S_n, aligned with _classes(n)."""
-    return tuple(_char(lam, rho) for rho, _ in _classes(n))
+    code = _code(lam)
+    return tuple(_char_code(code, rho) for rho, _ in _classes(n))
 
 
 @lru_cache(maxsize=1)  # the table and sweep loops run nu innermost

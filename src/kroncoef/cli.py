@@ -60,20 +60,25 @@ class PartitionParam(click.ParamType):
 PARTITION = PartitionParam()
 
 
-def _result_record(lam, mu, nu, result, elapsed_us=None):
-    """One result as JSON; ``table`` passes no time and gets ``elapsed_ms`` 0."""
-    record = {
+def _timed_compute(lam, mu, nu, method):
+    """compute() and its wall time in whole microseconds."""
+    start = time.perf_counter()
+    result = compute(lam, mu, nu, method)
+    return result, int((time.perf_counter() - start) * 1_000_000)
+
+
+def _result_record(lam, mu, nu, result, elapsed_us):
+    """One result as JSON, with its compute time in whole µs and whole ms."""
+    return {
         "lambda": list(lam.parts),
         "mu": list(mu.parts),
         "nu": list(nu.parts),
         "gamma": str(result.gamma),
         "provenance": result.provenance,
         "moves": list(result.moves),
-        "elapsed_ms": 0 if elapsed_us is None else elapsed_us // 1000,
+        "elapsed_ms": elapsed_us // 1000,
+        "elapsed_us": elapsed_us,
     }
-    if elapsed_us is not None:
-        record["elapsed_us"] = elapsed_us
-    return record
 
 
 def _csv_writer():
@@ -105,16 +110,14 @@ def main():
               show_default=True)
 def cmd_compute(lam, mu, nu, method, fmt):
     """Compute a single Kronecker coefficient with provenance."""
-    start = time.perf_counter()
     try:
-        result = compute(lam, mu, nu, method)
+        result, elapsed_us = _timed_compute(lam, mu, nu, method)
     except SizeMismatch as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
     except NoClosedFormApplicable as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    elapsed_us = int((time.perf_counter() - start) * 1_000_000)
     if fmt == "json":
         click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
     elif fmt == "csv":
@@ -233,10 +236,12 @@ def cmd_table(n, family, fmt):
     shapes = list(enumerate_partitions(n))
     labels = {p: str(p) for p in shapes}  # each shape is formatted once per table
     for lam, mu, nu in _family_triples(shapes, shapes, family):
+        if fmt == "json":  # only JSON rows carry a time, so only they take one
+            result, elapsed_us = _timed_compute(lam, mu, nu, AUTO)
+            click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
+            continue
         result = compute(lam, mu, nu, AUTO)
-        if fmt == "json":
-            click.echo(json.dumps(_result_record(lam, mu, nu, result)))
-        elif fmt == "csv":
+        if fmt == "csv":
             writer.writerow(_csv_fields(labels[lam], labels[mu], labels[nu], result))
         else:
             click.echo(f"{labels[lam] or '-':>16}  {labels[mu] or '-':>12}  "

@@ -3,7 +3,6 @@ that the closed formulas consume."""
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from typing import Iterable, Iterator
@@ -137,23 +136,38 @@ def double_hook_parts(lam: Partition) -> tuple[int, int, int, int] | None:
 
 
 def z_of(lam: Partition) -> int:
-    """Centralizer order z_lam = prod_i i^{d_i} d_i! over part multiplicities d_i."""
-    z = 1
-    mult: dict[int, int] = {}
+    """Centralizer order z_lam = prod_i i^{d_i} d_i! over part multiplicities d_i,
+    as one running product over the (sorted) parts: the k-th copy of a part p
+    contributes p * k."""
+    z, run, previous = 1, 0, 0
     for p in lam.parts:
-        mult[p] = mult.get(p, 0) + 1
-    for i, d in mult.items():
-        z *= i**d * math.factorial(d)
+        run = run + 1 if p == previous else 1
+        previous = p
+        z *= p * run
     return z
 
 
-def _partition_tuples(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partition_tuples(n - first, first):
-            yield (first,) + rest
+def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as part tuples, in reverse lexicographic order.
+
+    The parts above 1 are kept in a list and the ones as a count.  Each step
+    lowers the last part p > 1 to q = p - 1 and refills with the largest
+    tail of parts at most q: as many q as fit, then the remainder."""
+    head, ones = ([n], 0) if n > 1 else ([], n)
+    while True:
+        yield tuple(head) + (1,) * ones
+        if not head:
+            return
+        q = head.pop() - 1
+        rest = q + 1 + ones
+        if q == 1:
+            ones = rest
+            continue
+        copies, ones = divmod(rest, q)
+        head += [q] * copies
+        if ones > 1:
+            head.append(ones)
+            ones = 0
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -161,5 +175,5 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     (4), (3,1), (2,2), (2,1,1), (1,1,1,1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for parts in _partition_tuples(n, n):
+    for parts in _partition_tuples(n):
         yield Partition(parts)

@@ -3,6 +3,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kroncoef import (
     IntegralityViolation,
@@ -15,7 +16,7 @@ from kroncoef import (
     make_partition,
 )
 from kroncoef import characters
-from kroncoef.characters import _char, _classes, clear_cache
+from kroncoef.characters import _char, _classes, _code, clear_cache
 
 
 def test_trivial_character_is_one():
@@ -87,6 +88,45 @@ def test_char_matches_beta_number_reference():
                 assert _char(lam, rho) == reference_char(lam, rho), (lam, rho)
                 pairs += 1
     assert pairs == 12648
+
+
+@st.composite
+def shape_and_class(draw):
+    n = draw(st.integers(min_value=13, max_value=24))
+    shapes = [p.parts for p in enumerate_partitions(n)]
+    return draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
+
+
+@given(shape_and_class())
+def test_char_matches_reference_beyond_exhaustive_range(pair):
+    lam, rho = pair
+    assert _char(lam, rho) == reference_char(lam, rho)
+
+
+def test_code_has_one_bead_per_row_and_no_bead_at_zero():
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            code = _code(lam.parts)
+            assert code.bit_count() == len(lam), lam
+            assert not code & 1, lam
+
+
+def test_strip_to_the_empty_shape_is_shifted_to_zero():
+    # the 3-strip is all of (1,1,1): its bead moves 3 -> 0 over two beads, and the
+    # remaining beads 0,1,2 are three zero parts, which the shift turns into code 0
+    assert _code((1, 1, 1)) == 0b1110
+    assert _char((1, 1, 1), (3,)) == 1
+
+
+def test_bottom_cell_of_21_leaves_the_code_of_2():
+    # the bead of the bottom cell moves 1 -> 0; shifting off that zero part
+    # leaves one bead at 2, the code of (2)
+    clear_cache()
+    assert _char((2, 1), (1, 1, 1)) == 2
+    assert _code((2,)) == 0b100
+    assert (0b100, (1, 1)) in characters._strip_cache
+    assert set(characters._strip_cache) == {(0b1010, (1, 1, 1)), (0b110, (1, 1)),
+                                            (0b100, (1, 1)), (0b10, (1,))}
 
 
 @pytest.mark.parametrize("triple, gamma, entries", [

@@ -100,6 +100,16 @@ class TestTableCommand:
             assert tuple(record["nu"]) in hooks
             assert int(record["gamma"]) >= 0
 
+    def test_json_rows_carry_their_compute_time(self):
+        result = invoke("table", "--n", "5", "--family", "all", "--format", "json")
+        records = [json.loads(line) for line in result.output.splitlines()]
+        assert len(records) == 7 ** 3
+        for record in records:
+            assert list(record)[-2:] == ["elapsed_ms", "elapsed_us"]
+            assert isinstance(record["elapsed_us"], int) and record["elapsed_us"] >= 0
+            assert record["elapsed_ms"] == record["elapsed_us"] // 1000
+        assert sum(record["elapsed_us"] for record in records) > 0  # measured, not a constant
+
     def test_json_rows_requery_identically(self):
         result = invoke("table", "--n", "4", "--family", "two-row", "--format", "json")
         records = [json.loads(line) for line in result.output.splitlines()]

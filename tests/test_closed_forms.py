@@ -120,6 +120,23 @@ class TestTwoTwoRow:
                     for nu in rows:
                         assert kron_two_tworow(lam, mu, nu) == oracle(lam, mu, nu)
 
+    def test_seeded_sample_vs_oracle_beyond_exhaustive_range(self):
+        # 13 triples per n: a lam of at most four rows with two genuine
+        # two-row shapes, answered by compute and checked against the oracle
+        rng = random.Random(20001084)
+        nonzero = 0
+        for n in range(15, 23):
+            shapes = list(enumerate_partitions(n))
+            lams = [p for p in shapes if len(p) <= 4]
+            rows = [p for p in shapes if len(p) == 2]
+            for _ in range(13):
+                lam, mu, nu = rng.choice(lams), rng.choice(rows), rng.choice(rows)
+                result = compute(lam, mu, nu)
+                assert result.provenance != ORACLE, (lam, mu, nu)
+                assert result.gamma == oracle(lam, mu, nu), (lam, mu, nu)
+                nonzero += result.gamma > 0
+        assert nonzero >= 30  # 34 of the 104 are nonzero, so zeros alone cannot pass
+
 
 class TestTwoRowCorollary:
     def test_square(self):

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from kroncoef import (
     two_row_parts,
     z_of,
 )
+from kroncoef.partitions import _partition_tuples
 
 
 def partition_count(n):
@@ -241,6 +243,14 @@ class TestZ:
             nf = math.factorial(n)
             assert sum(nf // z_of(lam) for lam in enumerate_partitions(n)) == nf
 
+    def test_running_product_matches_multiplicity_formula(self):
+        for n in range(21):
+            for lam in enumerate_partitions(n):
+                expected = 1
+                for part, d in Counter(lam.parts).items():
+                    expected *= part**d * math.factorial(d)
+                assert z_of(lam) == expected, lam
+
 
 class TestEnumerate:
     def test_zero(self):
@@ -259,3 +269,20 @@ class TestEnumerate:
             seen = list(enumerate_partitions(n))
             assert len(set(seen)) == len(seen)
             assert all(p.n == n for p in seen)
+
+    def test_iterative_generator_matches_recursive_twin(self):
+        for n in range(26):
+            got = list(_partition_tuples(n))
+            assert got == list(recursive_partition_tuples(n, n)), n
+            assert len(got) == partition_count(n)
+
+
+def recursive_partition_tuples(n, max_part):
+    """The recursive twin of _partition_tuples: largest first part first,
+    then every partition of the rest with parts at most that first part."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in recursive_partition_tuples(n - first, first):
+            yield (first,) + rest
