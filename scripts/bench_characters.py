@@ -1,18 +1,22 @@
-"""Layer timings of the character oracle: the class table and one cold
-character row, for n = 14, 16, ..., 24.
+"""Layer timings of the character oracle: the class table, one cold
+character row and one cold oracle query, for n = 14, 16, ..., 24.
 
     PYTHONPATH=src python scripts/bench_characters.py [--out BENCH_characters.json]
 
 For each n it records the median over REPS repetitions of
 
 * ``classes_cold_ms``: ``_classes(n)`` right after ``clear_cache()``;
-* ``char_row_cold_ms``: ``_char_row(lam, n)`` for the fixed general shape
-  ``lam`` of SHAPES, right after ``clear_cache()`` and an untimed
-  ``_classes(n)``, so the class table is not part of this time;
+* ``char_row_cold_ms``: ``_char_row(lam, n)`` for the first shape ``lam``
+  of the fixed general triple of TRIPLES, right after ``clear_cache()`` and
+  an untimed ``_classes(n)``, so the class table is not part of this time;
+* ``oracle_cold_ms``: ``kron_oracle`` on the whole triple right after
+  ``clear_cache()``: the class table, three cold rows and the class sum,
+  the layer the ``oracle-cold`` benchmark workload times;
 
 and the number of ``_strip_cache`` entries that one cold row leaves behind.
-Only ``clear_cache``, ``_classes``, ``_char_row`` and ``_strip_cache`` are
-used, so the script runs unchanged against earlier versions of the package.
+Only ``clear_cache``, ``_classes``, ``_char_row``, ``_strip_cache`` and
+``kron_oracle`` are used, so the script runs unchanged against earlier
+versions of the package.
 """
 
 from __future__ import annotations
@@ -24,16 +28,18 @@ import platform
 import statistics
 import time
 
-from kroncoef import characters
+from kroncoef import characters, make_partition
 
 REPS = 5
-SHAPES = {
-    14: (5, 4, 3, 2),
-    16: (6, 4, 3, 2, 1),
-    18: (6, 5, 4, 3),
-    20: (6, 5, 4, 3, 2),
-    22: (7, 6, 4, 3, 2),
-    24: (7, 6, 5, 4, 2),
+# general shapes: at least three rows, second part >= 3, third part >= 2, so
+# no closed form applies to any triple or its conjugates
+TRIPLES = {
+    14: ((5, 4, 3, 2), (4, 4, 3, 2, 1), (6, 3, 3, 2)),
+    16: ((6, 4, 3, 2, 1), (5, 4, 4, 3), (4, 4, 3, 3, 2)),
+    18: ((6, 5, 4, 3), (5, 5, 4, 2, 2), (7, 4, 4, 3)),
+    20: ((6, 5, 4, 3, 2), (5, 5, 4, 3, 3), (7, 5, 4, 2, 2)),
+    22: ((7, 6, 4, 3, 2), (6, 5, 4, 4, 3), (8, 5, 4, 3, 2)),
+    24: ((7, 6, 5, 4, 2), (6, 6, 5, 4, 3), (8, 6, 4, 3, 3)),
 }
 
 
@@ -58,15 +64,29 @@ def cold_char_row_ms(lam: tuple[int, ...], n: int) -> tuple[float, int]:
     return statistics.median(times) * 1e3, len(characters._strip_cache)
 
 
+def cold_oracle_ms(triple: tuple[tuple[int, ...], ...]) -> float:
+    shapes = [make_partition(parts) for parts in triple]
+    times = []
+    for _ in range(REPS):
+        characters.clear_cache()
+        start = time.perf_counter()
+        characters.kron_oracle(*shapes)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_characters.json")
     args = parser.parse_args()
     rows = []
-    for n, lam in SHAPES.items():
+    for n, triple in TRIPLES.items():
+        lam = triple[0]
         row_ms, entries = cold_char_row_ms(lam, n)
-        rows.append({"n": n, "lambda": list(lam), "classes_cold_ms": round(cold_classes_ms(n), 3),
-                     "char_row_cold_ms": round(row_ms, 3), "strip_cache_entries": entries})
+        rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],
+                     "classes_cold_ms": round(cold_classes_ms(n), 3),
+                     "char_row_cold_ms": round(row_ms, 3), "strip_cache_entries": entries,
+                     "oracle_cold_ms": round(cold_oracle_ms(triple), 3)})
         print(json.dumps(rows[-1]))
     report = {"topic": "characters", "cache": "cold: clear_cache() before every repetition",
               "statistic": "median", "repetitions": REPS,

@@ -8,9 +8,12 @@ length r moves one bead down r places onto a free position, with sign -1 to
 the number of beads it passes; a few shifts find every such bead, and
 ``int.bit_count`` gives the sign.  A bead at position 0 stands for a zero part,
 so the trailing run of one-bits is shifted off after each move, which gives
-every shape exactly one code.  The recursion never leaves this form, the memo
-is keyed by (code, cycle type), and everything stays in arbitrary-precision
-integers.
+every shape exactly one code.  Cycle types are held in the same code: the
+first part is ``bit_length - bit_count`` and clearing the top bit leaves the
+code of the remaining parts.  The recursion never leaves this form: the memo
+``_strip_cache`` is keyed by two bead codes (shape, cycle type), the strip
+moves of a shape are memoized per strip length in ``_strip_moves``, and
+``clear_cache`` drops both.  Everything stays in arbitrary-precision integers.
 This module is the independent ground truth the closed forms are tested against.
 """
 
@@ -60,60 +63,91 @@ class KroneckerResult:
     moves: tuple[str, ...] = ()
 
 
-_strip_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+_strip_cache: dict[tuple[int, int], int] = {}
+_strip_moves: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
 
 def _code(parts: tuple[int, ...]) -> int:
     """Bead set of a shape as the bits of one int: row i of an l-row shape puts
     a bead at position parts[i] + l - 1 - i.  The empty shape is 0, and bit 0
-    is never set, since the lowest bead sits at the last (positive) part."""
-    length = len(parts)
-    code = 0
-    for i, part in enumerate(parts):
-        code |= 1 << (part + length - 1 - i)
+    is never set, since the lowest bead sits at the last (positive) part.
+
+    Cycle types use the same code.  The top bead of rho sits at rho[0] + l - 1,
+    so rho[0] is r.bit_length() - r.bit_count(), and clearing that bit leaves
+    the code of rho[1:]: its beads keep their positions."""
+    code, shift = 0, len(parts) - 1  # shift is l - 1 - i for row i
+    for part in parts:
+        code |= 1 << (part + shift)
+        shift -= 1
     return code
 
 
-def _char_code(w: int, rho: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion on the bead set w (see _code).
+def _moves(w: int, strip: int) -> tuple[tuple[int, int], ...]:
+    """(child code, sign) for every border strip of length strip of the shape w,
+    memoized in _strip_moves.
 
-    Removing a border strip of length r = rho[0] moves one bead from a
-    position b >= r down to the free position b - r, so the beads that can
-    move are w & ~(w << r) & ~((1 << r) - 1), and the child is
-    w ^ (1 << b) ^ (1 << (b - r)).  The sign is -1 to the number of beads
-    strictly between b - r and b, the popcount of r - 1 bits of w.  A bead at
-    position 0 stands for a zero part, so after each move the trailing run of
-    one-bits is shifted off (~child & (child + 1) is the lowest free
+    Removing the strip moves one bead from a position b >= strip down to the
+    free position b - strip, so the beads that can move are
+    w & ~(w << strip) & ~((1 << strip) - 1), and the child is
+    w ^ (1 << b) ^ (1 << (b - strip)).  The sign is -1 to the number of beads
+    strictly between b - strip and b, the popcount of strip - 1 bits of w.  A
+    bead at position 0 stands for a zero part, so the trailing run of one-bits
+    is shifted off each child (~child & (child + 1) is the lowest free
     position): every shape keeps one code, and the memo shares sub-shapes
     reached along different routes."""
-    if not rho:
-        return 1 if not w else 0
-    key = (w, rho)
-    cached = _strip_cache.get(key)
-    if cached is not None:
-        return cached
-    strip, rest = rho[0], rho[1:]
     between = (1 << (strip - 1)) - 1
     movable = w & ~(w << strip) & ~((1 << strip) - 1)
-    total = 0
+    moves = []
     while movable:
         bead = movable & -movable
         movable ^= bead
         child = w ^ bead ^ (bead >> strip)
         child >>= (~child & (child + 1)).bit_length() - 1
-        term = _char_code(child, rest)
-        foot = bead.bit_length() - strip  # b - r + 1
-        if ((w >> foot) & between).bit_count() & 1:
-            total -= term
-        else:
-            total += term
-    _strip_cache[key] = total
+        foot = bead.bit_length() - strip  # b - strip + 1
+        moves.append((child, -1 if ((w >> foot) & between).bit_count() & 1 else 1))
+    moves = _strip_moves[(w, strip)] = tuple(moves)
+    return moves
+
+
+def _strip_sum(w: int, r: int) -> int:
+    """Murnaghan-Nakayama recursion on the bead sets w of a shape and r of a
+    nonempty cycle type (see _code), for a pair not yet in _strip_cache.
+
+    The moves of the first part's strip come from _moves; each child's memo
+    entry is read before recursing, and at the last part a child scores its
+    sign when it is the empty shape, with no call."""
+    top = r.bit_length()
+    strip, rest = top - r.bit_count(), r ^ (1 << (top - 1))
+    moves = _strip_moves.get((w, strip))
+    if moves is None:
+        moves = _moves(w, strip)
+    total = 0
+    if rest:
+        for child, sign in moves:
+            term = _strip_cache.get((child, rest))
+            if term is None:
+                term = _strip_sum(child, rest)
+            total += sign * term
+    else:
+        for child, sign in moves:
+            if not child:
+                total += sign
+    _strip_cache[(w, r)] = total
     return total
+
+
+def _char_code(w: int, r: int) -> int:
+    """Character value of the shape with bead code w at the cycle type with
+    bead code r, read from the memo or computed by _strip_sum."""
+    if not r:
+        return 1 if not w else 0
+    cached = _strip_cache.get((w, r))
+    return _strip_sum(w, r) if cached is None else cached
 
 
 def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
     """Character value of the shape with parts lam at the cycle type rho."""
-    return _char_code(_code(lam), rho)
+    return _char_code(_code(lam), _code(rho))
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -135,17 +169,19 @@ def dimension(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Cycle types of S_n with their class sizes n!/z_rho, in enumeration order."""
+def _classes(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Cycle types of S_n with their bead codes (see _code) and class sizes
+    n!/z_rho, in enumeration order."""
     nf = math.factorial(n)
-    return tuple((rho.parts, nf // z_of(rho)) for rho in enumerate_partitions(n))
+    return tuple((rho.parts, _code(rho.parts), nf // z_of(rho))
+                 for rho in enumerate_partitions(n))
 
 
 @lru_cache(maxsize=None)
 def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Character values of lam across all classes of S_n, aligned with _classes(n)."""
     code = _code(lam)
-    return tuple(_char_code(code, rho) for rho, _ in _classes(n))
+    return tuple(_char_code(code, r) for _, r, _ in _classes(n))
 
 
 @lru_cache(maxsize=1)  # the table and sweep loops run nu innermost
@@ -155,15 +191,16 @@ def _pair_weights(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> tuple[in
     reads one character row each instead of three."""
     return tuple(
         size * a * b
-        for (_, size), a, b in zip(_classes(n), _char_row(lam, n), _char_row(mu, n))
+        for (_, _, size), a, b in zip(_classes(n), _char_row(lam, n), _char_row(mu, n))
     )
 
 
 def clear_cache() -> None:
-    """Drop all memoized character data, the one-entry pair-weight cache
-    included; callers sweeping many n may use this between sizes to bound
-    memory."""
+    """Drop all memoized character data: the strip memo, the strip-move memo,
+    the class table, the character rows and the one-entry pair-weight cache;
+    callers sweeping many n may use this between sizes to bound memory."""
     _strip_cache.clear()
+    _strip_moves.clear()
     _classes.cache_clear()
     _char_row.cache_clear()
     _pair_weights.cache_clear()

@@ -175,5 +175,10 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     (4), (3,1), (2,2), (2,1,1), (1,1,1,1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # the tuples are already in normal form, so each Partition is built
+    # without the constructor's sort, index check and zero strip
+    new = Partition.__new__
     for parts in _partition_tuples(n):
-        yield Partition(parts)
+        lam = new(Partition)
+        lam.parts, lam.n, lam._conjugate = parts, n, None
+        yield lam

@@ -16,7 +16,7 @@ from kroncoef import (
     make_partition,
 )
 from kroncoef import characters
-from kroncoef.characters import _char, _classes, _code, clear_cache
+from kroncoef.characters import _char, _char_row, _classes, _code, clear_cache
 
 
 def test_trivial_character_is_one():
@@ -111,6 +111,39 @@ def test_code_has_one_bead_per_row_and_no_bead_at_zero():
             assert not code & 1, lam
 
 
+def test_cycle_type_code_decodes_to_first_part_and_rest():
+    # the kernel reads rho[0] as bit_length - bit_count and rho[1:] as the code
+    # with its top bit cleared
+    for n in range(1, 21):
+        for rho in enumerate_partitions(n):
+            r = _code(rho.parts)
+            assert r.bit_length() - r.bit_count() == rho.parts[0], rho
+            assert r ^ (1 << (r.bit_length() - 1)) == _code(rho.parts[1:]), rho
+    clear_cache()
+    assert _code(()) == 0
+    assert _char((), ()) == 1
+    assert _char_row((), 0) == (1,)
+
+
+def test_cold_char_rows_match_beta_number_reference():
+    # seeded general shapes (three or more rows, lam_2 >= 3, lam_3 >= 2), each
+    # row computed from empty memos and compared class by class
+    rng = random.Random(20001084)
+    rows = 0
+    for n in range(13, 17):
+        general = [p.parts for p in enumerate_partitions(n)
+                   if len(p) >= 3 and p[1] >= 3 and p[2] >= 2]
+        for lam in rng.sample(general, 3):
+            clear_cache()
+            row = _char_row(lam, n)
+            classes = _classes(n)
+            assert len(row) == len(classes)
+            for value, (rho, _, _) in zip(row, classes):
+                assert value == reference_char(lam, rho), (lam, rho)
+            rows += 1
+    assert rows == 12
+
+
 def test_strip_to_the_empty_shape_is_shifted_to_zero():
     # the 3-strip is all of (1,1,1): its bead moves 3 -> 0 over two beads, and the
     # remaining beads 0,1,2 are three zero parts, which the shift turns into code 0
@@ -120,13 +153,17 @@ def test_strip_to_the_empty_shape_is_shifted_to_zero():
 
 def test_bottom_cell_of_21_leaves_the_code_of_2():
     # the bead of the bottom cell moves 1 -> 0; shifting off that zero part
-    # leaves one bead at 2, the code of (2)
+    # leaves one bead at 2, the code of (2); cycle types are keyed by their
+    # codes too: (1,1,1) is 0b1110, (1,1) is 0b110 and (1) is 0b10
     clear_cache()
     assert _char((2, 1), (1, 1, 1)) == 2
     assert _code((2,)) == 0b100
-    assert (0b100, (1, 1)) in characters._strip_cache
-    assert set(characters._strip_cache) == {(0b1010, (1, 1, 1)), (0b110, (1, 1)),
-                                            (0b100, (1, 1)), (0b10, (1,))}
+    assert (0b100, 0b110) in characters._strip_cache
+    assert set(characters._strip_cache) == {(0b1010, 0b1110), (0b110, 0b110),
+                                            (0b100, 0b110), (0b10, 0b10)}
+    # the two 1-strips of (2,1): its bottom cell, leaving (2), and its top
+    # right cell, leaving (1,1); neither passes a bead
+    assert characters._strip_moves[(0b1010, 1)] == ((0b100, 1), (0b110, 1))
 
 
 @pytest.mark.parametrize("triple, gamma, entries", [
@@ -231,7 +268,7 @@ def classwise_sum(lam, mu, nu):
     """The oracle's character sum written out, one class at a time."""
     n = lam.n
     total = 0
-    for parts, size in _classes(n):
+    for parts, _, size in _classes(n):
         rho = make_partition(parts)
         total += size * character(lam, rho) * character(mu, rho) * character(nu, rho)
     gamma, rest = divmod(total, math.factorial(n))
@@ -271,6 +308,16 @@ def test_clear_cache_drops_pair_weights():
     assert characters._pair_weights.cache_info().currsize == 1
     clear_cache()
     assert characters._pair_weights.cache_info().currsize == 0
+
+
+def test_clear_cache_drops_strip_moves():
+    lam, mu, nu = (make_partition(p) for p in ([3, 2, 1], [4, 2], [3, 3]))
+    clear_cache()
+    kron_oracle(lam, mu, nu)
+    moves = len(characters._strip_moves)
+    assert 0 < moves <= len(characters._strip_cache)
+    clear_cache()
+    assert not characters._strip_moves and not characters._strip_cache
 
 
 def test_integrality_violation_fires_on_a_cache_hit(monkeypatch):
