@@ -1,5 +1,6 @@
 """Layer timings of the character oracle: the class table, one cold
-character row and one cold oracle query, for n = 14, 16, ..., 24.
+character row and one cold oracle query, for n = 14, 16, ..., 24, and the
+in-process verification sweep that certifies the closed forms against it.
 
     PYTHONPATH=src python scripts/bench_characters.py [--out BENCH_characters.json]
 
@@ -14,9 +15,12 @@ For each n it records the median over REPS repetitions of
   the layer the ``oracle-cold`` benchmark workload times;
 
 and the number of ``_strip_cache`` entries that one cold row leaves behind.
-Only ``clear_cache``, ``_classes``, ``_char_row``, ``_strip_cache`` and
-``kron_oracle`` are used, so the script runs unchanged against earlier
-versions of the package.
+Under ``sweep_inprocess_ms`` it records, for each sweep family and n_max in
+SWEEP_N_MAX, the median over REPS of ``run_sweep(family, n_max, jobs=1)``
+right after ``clear_cache()``: the whole sweep in this process, oracle and
+closed forms together.  Only ``clear_cache``, ``_classes``, ``_char_row``,
+``_strip_cache``, ``kron_oracle``, ``run_sweep`` and ``SWEEP_FAMILIES`` are
+used, so the script runs unchanged against earlier versions of the package.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ import statistics
 import time
 
 from kroncoef import characters, make_partition
+from kroncoef.cli import SWEEP_FAMILIES, run_sweep
 
 REPS = 5
+SWEEP_N_MAX = (10, 12, 14)
 # general shapes: at least three rows, second part >= 3, third part >= 2, so
 # no closed form applies to any triple or its conjugates
 TRIPLES = {
@@ -75,6 +81,16 @@ def cold_oracle_ms(triple: tuple[tuple[int, ...], ...]) -> float:
     return statistics.median(times) * 1e3
 
 
+def sweep_inprocess_ms(family: str, n_max: int) -> tuple[float, int]:
+    times = []
+    for _ in range(REPS):
+        characters.clear_cache()
+        start = time.perf_counter()
+        report = run_sweep(family, n_max, jobs=1)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3, report.triples_checked
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_characters.json")
@@ -88,9 +104,17 @@ def main() -> None:
                      "char_row_cold_ms": round(row_ms, 3), "strip_cache_entries": entries,
                      "oracle_cold_ms": round(cold_oracle_ms(triple), 3)})
         print(json.dumps(rows[-1]))
+    sweeps = []
+    for family in SWEEP_FAMILIES:
+        for n_max in SWEEP_N_MAX:
+            ms, triples = sweep_inprocess_ms(family, n_max)
+            sweeps.append({"family": family, "n_max": n_max, "triples": triples,
+                           "ms": round(ms, 3)})
+            print(json.dumps(sweeps[-1]))
     report = {"topic": "characters", "cache": "cold: clear_cache() before every repetition",
               "statistic": "median", "repetitions": REPS,
-              "python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": rows}
+              "python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": rows,
+              "sweep_inprocess_ms": sweeps}
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

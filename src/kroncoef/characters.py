@@ -15,11 +15,21 @@ code of the remaining parts.  The recursion never leaves this form: the memo
 moves of a shape are memoized per strip length in ``_strip_moves``, and
 ``clear_cache`` drops both.  Everything stays in arbitrary-precision integers.
 This module is the independent ground truth the closed forms are tested against.
+
+``kron_oracle`` answers one triple.  ``kron_oracle_column`` answers one pair
+(mu, nu) for a whole list of lambdas, as a verification sweep needs: it packs
+chi^lam(rho) for every lambda into one int per class rho, one signed field of
+k bits each, and reads every n! * gamma off one big-int class sum.  Column
+orthogonality bounds |n! * gamma| by n! * sum over rho of (isqrt(z_rho) + 1),
+and k is that bound's bit length plus 2, so the fields never overlap; the
+packed columns are kept for one list of lambdas at a time, and
+``clear_cache`` drops them too.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -184,26 +194,75 @@ def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(_char_code(code, r) for _, r, _ in _classes(n))
 
 
-@lru_cache(maxsize=1)  # the table and sweep loops run nu innermost
+@lru_cache(maxsize=1)  # the table loop runs nu innermost
 def _pair_weights(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Class size times chi^lam times chi^mu for every class of S_n, aligned
     with _classes(n).  One entry is kept: a run of queries sharing (lam, mu)
-    reads one character row each instead of three."""
+    reads one character row each instead of three.  kron_oracle_column forms
+    it once per (mu, nu) pair."""
     return tuple(
         size * a * b
         for (_, _, size), a, b in zip(_classes(n), _char_row(lam, n), _char_row(mu, n))
     )
 
 
+def _pack(values: Sequence[int], k: int) -> int:
+    """values[i] in field i (bits k*i up to k*(i+1)) of one int, each field
+    signed: the int is sum of values[i] << (k*i), exactly."""
+    packed = 0
+    for value in reversed(values):
+        packed = (packed << k) + value
+    return packed
+
+
+def _unpack(packed: int, k: int, count: int) -> list[int]:
+    """The count signed k-bit fields of packed, lowest first; the inverse of
+    _pack when every field lies strictly between -2**(k-1) and 2**(k-1).  A
+    field with its top bit set is negative, and taking it off before the
+    shift returns its borrow to the field above."""
+    mask, top, full = (1 << k) - 1, 1 << (k - 1), 1 << k
+    fields = []
+    for _ in range(count):
+        field = packed & mask
+        if field & top:
+            field -= full
+        fields.append(field)
+        packed = (packed - field) >> k
+    return fields
+
+
+@lru_cache(maxsize=1)  # a sweep worker keeps one share of shapes per n
+def _packed_columns(share: tuple[tuple[int, ...], ...], n: int) -> tuple[int, tuple[int, ...]]:
+    """Field width k, and chi^lam(rho) for every lam of the share packed into
+    one int per class rho of S_n (field i holds share[i]; see _pack), aligned
+    with _classes(n).
+
+    k is wide enough for every class sum these columns enter.  Column
+    orthogonality gives chi(rho)**2 <= z_rho for any character, so
+    |C_rho| * chi^lam * chi^mu * chi^nu is at most n!/z_rho * z_rho * sqrt(z_rho),
+    and |n! * gamma| <= n! * sum over rho of (isqrt(z_rho) + 1).  k is that
+    bound's bit_length plus 2: 36, 57 and 94 bits at n = 10, 14 and 20."""
+    for parts in share:
+        if sum(parts) != n:
+            raise SizeMismatch(f"|{parts}| = {sum(parts)} but the pair has size {n}")
+    classes = _classes(n)
+    nf = math.factorial(n)
+    k = (nf * sum(math.isqrt(nf // size) + 1 for _, _, size in classes)).bit_length() + 2
+    rows = [_char_row(lam, n) for lam in share]
+    return k, tuple(_pack(column, k) for column in zip(*rows))
+
+
 def clear_cache() -> None:
     """Drop all memoized character data: the strip memo, the strip-move memo,
-    the class table, the character rows and the one-entry pair-weight cache;
-    callers sweeping many n may use this between sizes to bound memory."""
+    the class table, the character rows, the one-entry pair-weight cache and
+    the one-entry packed columns of kron_oracle_column; callers sweeping many
+    n may use this between sizes to bound memory."""
     _strip_cache.clear()
     _strip_moves.clear()
     _classes.cache_clear()
     _char_row.cache_clear()
     _pair_weights.cache_clear()
+    _packed_columns.cache_clear()
 
 
 def _check_sizes(lam: Partition, mu: Partition, nu: Partition) -> None:
@@ -229,3 +288,34 @@ def kron_oracle(lam: Partition, mu: Partition, nu: Partition) -> KroneckerResult
         )
     gamma = total // nf
     return KroneckerResult(gamma=gamma, provenance=ORACLE)
+
+
+def kron_oracle_column(mu: Partition, nu: Partition, lams: Sequence[Partition]) -> list[int]:
+    """gamma(lam, mu, nu) for every lam in lams, in order, by the classwise
+    character sum of kron_oracle taken for all of them at once.
+
+    The class weights |C_rho| * chi^mu * chi^nu come from _pair_weights once.
+    _packed_columns holds chi^lam(rho) for every lam of lams in one signed
+    k-bit field of one int per class, so one big-int sum over the classes
+    carries n! * gamma(lam, mu, nu) in field i for lams[i]; k bounds every
+    such sum (see _packed_columns), so the signed fields never overlap.  The
+    columns are kept for one share at a time: a caller running many (mu, nu)
+    pairs against the same lams builds them once.  Divisibility by n! is
+    checked, not assumed, for every lam, as in kron_oracle."""
+    if mu.n != nu.n:
+        raise SizeMismatch(f"sizes differ: |{mu}|={mu.n}, |{nu}|={nu.n}")
+    if not lams:
+        return []
+    n = mu.n
+    k, columns = _packed_columns(tuple(lam.parts for lam in lams), n)
+    total = sum(map(mul, _pair_weights(mu.parts, nu.parts, n), columns))
+    nf = math.factorial(n)
+    gammas = []
+    for lam, field in zip(lams, _unpack(total, k, len(lams))):
+        gamma, rest = divmod(field, nf)
+        if rest:
+            raise IntegralityViolation(
+                f"{nf} does not divide {field} for ({lam}; {mu}; {nu})"
+            )
+        gammas.append(gamma)
+    return gammas

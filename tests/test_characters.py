@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -16,7 +17,16 @@ from kroncoef import (
     make_partition,
 )
 from kroncoef import characters
-from kroncoef.characters import _char, _char_row, _classes, _code, clear_cache
+from kroncoef.characters import (
+    _char,
+    _char_row,
+    _classes,
+    _code,
+    _pack,
+    _unpack,
+    clear_cache,
+    kron_oracle_column,
+)
 
 
 def test_trivial_character_is_one():
@@ -310,6 +320,14 @@ def test_clear_cache_drops_pair_weights():
     assert characters._pair_weights.cache_info().currsize == 0
 
 
+def test_clear_cache_drops_packed_columns():
+    two_one = make_partition([2, 1])
+    kron_oracle_column(two_one, two_one, list(enumerate_partitions(3)))
+    assert characters._packed_columns.cache_info().currsize == 1
+    clear_cache()
+    assert characters._packed_columns.cache_info().currsize == 0
+
+
 def test_clear_cache_drops_strip_moves():
     lam, mu, nu = (make_partition(p) for p in ([3, 2, 1], [4, 2], [3, 3]))
     clear_cache()
@@ -335,3 +353,98 @@ def test_integrality_violation_fires_on_a_cache_hit(monkeypatch):
     monkeypatch.setattr(characters, "_pair_weights", corrupted)
     with pytest.raises(IntegralityViolation):
         kron_oracle(lam, mu, nu)
+
+
+def column_shares(shapes):
+    """The shares a sweep worker can hold: all shapes, every other one, a
+    single shape (each in turn) and none."""
+    yield shapes
+    yield shapes[1::2]
+    for lam in shapes:
+        yield [lam]
+    yield []
+
+
+def test_oracle_column_matches_oracle_exhaustively():
+    # every (mu, nu) with n <= 8 against every share; each share runs all its
+    # pairs in a row, as a sweep does, so the packed columns are reused
+    clear_cache()
+    columns = 0
+    for n in range(9):
+        shapes = list(enumerate_partitions(n))
+        want = {(lam, mu, nu): kron_oracle(lam, mu, nu).gamma
+                for lam in shapes for mu in shapes for nu in shapes}
+        for share in column_shares(shapes):
+            for mu in shapes:
+                for nu in shapes:
+                    got = kron_oracle_column(mu, nu, share)
+                    assert got == [want[lam, mu, nu] for lam in share], (share, mu, nu)
+                    columns += 1
+    assert columns == 18616  # p(n)**2 pairs times p(n) + 3 shares, summed over n
+
+
+def test_oracle_column_matches_oracle_beyond_exhaustive_range():
+    # seeded (mu, nu) pairs at n = 13-16, each against both halves of the shapes
+    rng = random.Random(20001084)
+    checked = 0
+    for n in range(13, 17):
+        clear_cache()
+        shapes = list(enumerate_partitions(n))
+        for _ in range(2):
+            mu, nu = rng.choice(shapes), rng.choice(shapes)
+            for share in (shapes[0::2], shapes[1::2]):
+                got = kron_oracle_column(mu, nu, share)
+                assert got == [kron_oracle(lam, mu, nu).gamma for lam in share], (mu, nu)
+                checked += len(share)
+    assert checked == 2 * (101 + 135 + 176 + 231)
+
+
+def test_pack_round_trips_signed_fields_at_the_width_limit():
+    rng = random.Random(20001084)
+    for k in (4, 36, 57, 94):
+        edge = (1 << (k - 1)) - 1
+        values = [edge, -edge, 0, -1, 1, -edge, -edge, edge, 0]
+        values += [rng.randint(-edge, edge) for _ in range(40)]
+        for cut in range(len(values) + 1):
+            assert _unpack(_pack(values[:cut], k), k, cut) == values[:cut], (k, cut)
+        # a weighted sum of packed ints carries the weighted sum of each field
+        weights = [rng.randint(-3, 3) for _ in range(5)]
+        rows = [[rng.randint(-(edge // 16), edge // 16) for _ in range(7)] for _ in weights]
+        total = sum(w * _pack(row, k) for w, row in zip(weights, rows))
+        assert _unpack(total, k, 7) == [sum(w * row[i] for w, row in zip(weights, rows))
+                                         for i in range(7)]
+
+
+def test_packed_field_width_bound():
+    # the width covers n! * sum of (isqrt(z_rho) + 1), because no character
+    # value exceeds sqrt(z_rho) in absolute value (column orthogonality)
+    assert [characters._packed_columns(((n,),), n)[0] for n in (10, 14, 20)] == [36, 57, 94]
+    for n in range(13):
+        nf = math.factorial(n)
+        rows = [_char_row(lam.parts, n) for lam in enumerate_partitions(n)]
+        for j, (_, _, size) in enumerate(_classes(n)):
+            z = nf // size
+            assert sum(row[j] ** 2 for row in rows) == z
+            assert max(abs(row[j]) for row in rows) <= math.isqrt(z)
+
+
+def test_oracle_column_refuses_mixed_sizes():
+    two_one, three = make_partition([2, 1]), make_partition([3])
+    with pytest.raises(SizeMismatch):
+        kron_oracle_column(two_one, make_partition([2]), [three])
+    with pytest.raises(SizeMismatch):
+        kron_oracle_column(two_one, three, [three, make_partition([2, 2])])
+
+
+def test_integrality_violation_fires_for_each_column_entry(monkeypatch):
+    mu, nu = make_partition([3, 2, 1]), make_partition([6])
+    share = list(enumerate_partitions(6))
+    assert kron_oracle_column(mu, nu, share) == [int(lam == mu) for lam in share]
+    weights = characters._pair_weights(mu.parts, nu.parts, 6)
+    # class (1^6) comes last, where every character is its dimension: adding
+    # 1 to its weight moves field i by dim(share[i]), which 6! never divides
+    monkeypatch.setattr(characters, "_pair_weights",
+                        lambda *key: weights[:-1] + (weights[-1] + 1,))
+    for lam in share:
+        with pytest.raises(IntegralityViolation, match=re.escape(f"({lam}; {mu}; {nu})")):
+            kron_oracle_column(mu, nu, [lam])

@@ -217,6 +217,28 @@ class TestVerifyCommand:
             assert parallel == serial, family
             assert serial["mismatches"] == [] and serial["triples_checked"] > 0
 
+    @pytest.mark.parametrize("family, triples, max_gamma", [
+        ("two-row", 545, 2), ("hook-hook", 637, 2), ("hook-two-row", 575, 2),
+    ])
+    def test_sweep_counts_to_seven(self, family, triples, max_gamma):
+        # the counts the sweep gave when it called kron_oracle once per triple
+        for jobs in (1, 2):  # 2 is a real pool
+            report = run_sweep(family, 7, jobs=jobs)
+            assert report.mismatches == [], (family, jobs)
+            assert (report.triples_checked, report.max_gamma) == (triples, max_gamma), jobs
+
+    def test_empty_shares_check_nothing(self):
+        # worker 2 of 3 has no lambda at n = 1 and 2 (p(n) < 3) and only
+        # (1,1,1) at n = 3; the three workers together make the serial sweep
+        for family in cli.SWEEP_FAMILIES:
+            chunks = [cli._sweep_chunk(family, 3, first, 3) for first in range(3)]
+            serial = cli._sweep_chunk(family, 3, 0, 1)
+            pairs = len(cli._family_pairs(list(enumerate_partitions(3)), family))
+            assert chunks[2].triples_checked == pairs, family
+            assert sum(c.triples_checked for c in chunks) == serial.triples_checked
+            assert max(c.max_gamma for c in chunks) == serial.max_gamma
+            assert not any(c.mismatches for c in chunks)
+
     def test_mismatches_are_reported(self, monkeypatch):
         # a two-row kernel off by one on lambda = (3,3) and (2,2,2), for any
         # (mu, nu): the serial and the pooled sweep see the same faults
