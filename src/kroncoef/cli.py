@@ -4,7 +4,8 @@ and a quick self-test battery.
 Exit codes: 0 success, 1 verification mismatch (or no closed form in closed
 mode), 2 parse error, 3 size mismatch.  Machine-readable formats emit one JSON
 object per line or CSV with the fixed column order lambda, mu, nu, gamma,
-provenance.
+provenance.  verify certifies each family through the form compute uses: the
+pairs its row of CLOSED_FORMS selects, valued by _try_closed, against the oracle.
 """
 
 from __future__ import annotations
@@ -24,23 +25,22 @@ from . import lattice, schur_eval
 from .characters import SizeMismatch, kron_oracle, kron_oracle_column
 from .closed_forms import (
     AUTO,
+    CLOSED_FORMS,
     METHODS,
     NoClosedFormApplicable,
+    _shape_code,
+    _try_closed,
     compute,
-    kron_hook_tworow,
-    kron_two_hooks,
+    kron_hook_tworow,  # kron_hook_tworow and kron_two_hooks are not called here: the
+    kron_two_hooks,  # benchmark's tracer binds them on cli (tests/test_bench_bindings.py)
     kron_two_tworow,
 )
-from .partitions import (
-    NegativePart,
-    Partition,
-    enumerate_partitions,
-    hook_parts,
-    two_row_parts,
-)
+from .partitions import NegativePart, Partition, enumerate_partitions
 
-SWEEP_FAMILIES = ("two-row", "hook-hook", "hook-two-row")
-FAMILIES = SWEEP_FAMILIES + ("all",)
+# Each family sweeps the pairs of one closed form: the rows of CLOSED_FORMS
+# after the delta rule, in table order.
+SWEEP_FAMILIES = dict(zip(("two-row", "hook-hook", "hook-two-row"), CLOSED_FORMS[1:]))
+FAMILIES = (*SWEEP_FAMILIES, "all")
 
 
 class PartitionParam(click.ParamType):
@@ -129,21 +129,15 @@ def cmd_compute(lam, mu, nu, method, fmt):
 
 
 def _family_pairs(shapes, family):
-    """(mu, nu) pairs of a family, in enumeration order; "all" pairs every
-    two shapes.
-
-    two-row means at most two parts (one-row shapes enter with second part 0);
-    hooks are genuine hooks (m, 1^e) with m >= 2 and e >= 1.
-    """
-    two_rows = [p for p in shapes if two_row_parts(p) is not None]
-    hooks = [p for p in shapes if hook_parts(p) is not None]
-    if family == "two-row":
-        return [(mu, nu) for mu in two_rows for nu in two_rows]
-    if family == "hook-hook":
-        return [(mu, nu) for mu in hooks for nu in hooks]
-    if family == "hook-two-row":
-        return [(mu, nu) for mu in hooks for nu in two_rows]
-    return [(mu, nu) for mu in shapes for nu in shapes]
+    """(mu, nu) pairs of a family, in enumeration order: the shapes whose
+    class bits hold those its closed form needs of mu and of nu; "all" pairs
+    every two shapes."""
+    if family == "all":
+        return [(mu, nu) for mu in shapes for nu in shapes]
+    form = SWEEP_FAMILIES[family]
+    mus = [p for p in shapes if _shape_code(p.parts) & form.mu == form.mu]
+    nus = [p for p in shapes if _shape_code(p.parts) & form.nu == form.nu]
+    return [(mu, nu) for mu in mus for nu in nus]
 
 
 def _family_triples(shapes, family):
@@ -152,15 +146,6 @@ def _family_triples(shapes, family):
     for lam in shapes:
         for mu, nu in pairs:
             yield lam, mu, nu
-
-
-def _closed_value(family, lam, mu, nu):
-    """The closed form of one of the SWEEP_FAMILIES."""
-    if family == "two-row":
-        return kron_two_tworow(lam, mu, nu)
-    if family == "hook-hook":
-        return kron_two_hooks(lam, mu, nu)
-    return kron_hook_tworow(lam, mu, nu)
 
 
 @dataclass
@@ -188,12 +173,13 @@ def _sweep_chunk(family: str, n_max: int, first: int, step: int) -> SweepReport:
     every lambda of the share at once, and each closed form is then checked
     against its column entry, so mismatches come in (mu, nu, lambda) order."""
     report = SweepReport(n=n_max, family=family)
+    provenance = SWEEP_FAMILIES[family].provenance
     for n in range(1, n_max + 1):
         shapes = list(enumerate_partitions(n))
         lams = shapes[first::step]
         for mu, nu in _family_pairs(shapes, family):
             for lam, oracle in zip(lams, kron_oracle_column(mu, nu, lams)):
-                closed = _closed_value(family, lam, mu, nu)
+                closed = _try_closed(provenance, lam, mu, nu)
                 report.triples_checked += 1
                 report.max_gamma = max(report.max_gamma, closed)
                 if closed != oracle:
@@ -213,7 +199,7 @@ def run_sweep(family: str, n_max: int, jobs: int = 1) -> SweepReport:
     shapes[i::workers] of that n.  A single worker runs in-process.
     """
     if family not in SWEEP_FAMILIES:
-        raise ValueError(f"family must be one of {SWEEP_FAMILIES}, got {family!r}")
+        raise ValueError(f"family must be one of {tuple(SWEEP_FAMILIES)}, got {family!r}")
     start = time.perf_counter()
     total = SweepReport(n=n_max, family=family)
     workers = min(jobs, os.cpu_count() or 1, sum(1 for _ in enumerate_partitions(n_max)))

@@ -3,7 +3,8 @@ two-row or hook shapes, plus the symmetry-normalizing dispatcher.
 
 Every formula is exact and certified against the character oracle by the test
 suite.  The sanctioned symmetry moves are: any permutation of (lambda, mu, nu),
-and conjugating any two of the three shapes simultaneously.
+and conjugating any two of the three shapes simultaneously.  CLOSED_FORMS states
+once the shape classes each form needs; compute and the CLI's sweep read it.
 """
 
 from __future__ import annotations
@@ -279,31 +280,42 @@ def _shape_code(parts: tuple[int, ...]) -> int:
     return code
 
 
+class ClosedForm(NamedTuple):
+    """A closed form's provenance and the class bits it needs of each slot."""
+
+    provenance: str
+    lam: int
+    mu: int
+    nu: int
+
+
+# The closed forms, most specific first: a one-row lam, a two-row pair
+# (mu, nu), a hook pair, a hook mu with a two-row nu.  _candidate tries them
+# in this order, and the CLI's sweep families pick (mu, nu) by their bits.
+CLOSED_FORMS = (
+    ClosedForm(DELTA_RULE, _ONE_ROW, 0, 0),
+    ClosedForm(TWO_ROW_TWO_ROW, 0, _TWO_ROW, _TWO_ROW),
+    ClosedForm(HOOK_HOOK, 0, _HOOK, _HOOK),
+    ClosedForm(HOOK_TWO_ROW, 0, _HOOK, _TWO_ROW),
+)
+
+
 @lru_cache(maxsize=None)  # keys are 18-bit signatures
 def _candidate(signature: int) -> tuple[_Variant, str] | None:
-    """The first variant, in table order, whose slot classes match a closed
-    form, with that form's provenance; None when no variant matches.
-
-    The forms are tried most specific first: a one-row lam is the delta
-    rule, then a two-row pair (mu, nu), a hook pair, and a hook mu with a
-    two-row nu.  Every closed form fires once its classes match, so this is
-    the one place that decides which form answers a triple."""
+    """The first variant, in table order, whose slot classes hold the bits of
+    a row of CLOSED_FORMS, with that row's provenance; None when none does.
+    Every form fires once its classes match, so this decides the answer."""
     for variant in _VARIANTS:
         lam, mu, nu = (signature >> 3 * s & 7 for s in variant.sources)
-        if lam & _ONE_ROW:
-            return variant, DELTA_RULE
-        if mu & nu & _TWO_ROW:
-            return variant, TWO_ROW_TWO_ROW
-        if mu & nu & _HOOK:
-            return variant, HOOK_HOOK
-        if mu & _HOOK and nu & _TWO_ROW:
-            return variant, HOOK_TWO_ROW
+        for form in CLOSED_FORMS:
+            if lam & form.lam == form.lam and mu & form.mu == form.mu and nu & form.nu == form.nu:
+                return variant, form.provenance
     return None
 
 
 def _try_closed(provenance: str, lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Evaluate the closed form named by provenance on a variant whose slot
-    classes _candidate has already matched to it."""
+    """Evaluate the closed form named by provenance on shapes whose classes
+    hold that form's bits in CLOSED_FORMS."""
     if provenance == DELTA_RULE:
         return 1 if mu == nu else 0
     if provenance == TWO_ROW_TWO_ROW:

@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kroncoef import (Partition, cli, closed_forms, compute, enumerate_partitions, hook_parts,
                       two_row_parts)
@@ -15,6 +17,16 @@ from kroncoef.closed_forms import InvariantViolation
 
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def reader_pairs(shapes, family):
+    """A family's (mu, nu) pairs chosen by the partitions readers: the
+    reference for the CLI's choice by the class bits of its closed form."""
+    two_rows = [p for p in shapes if two_row_parts(p) is not None]
+    hooks = [p for p in shapes if hook_parts(p) is not None]
+    mus, nus = {"two-row": (two_rows, two_rows), "hook-hook": (hooks, hooks),
+                "hook-two-row": (hooks, two_rows), "all": (shapes, shapes)}[family]
+    return [(mu, nu) for mu in mus for nu in nus]
 
 
 class TestComputeCommand:
@@ -135,27 +147,17 @@ class TestTableCommand:
         # formatting every row from scratch
         for n in range(1, 7):
             shapes = list(enumerate_partitions(n))
-            two_rows = [p for p in shapes if two_row_parts(p) is not None]
-            hooks = [p for p in shapes if hook_parts(p) is not None]
-            family_pairs = {
-                "two-row": (two_rows, two_rows),
-                "hook-hook": (hooks, hooks),
-                "hook-two-row": (hooks, two_rows),
-                "all": (shapes, shapes),
-            }
-            for family, (mus, nus) in family_pairs.items():
+            for family in cli.FAMILIES:
                 csv_text = io.StringIO()
                 writer = csv.writer(csv_text, lineterminator="\n")
                 writer.writerow(["lambda", "mu", "nu", "gamma", "provenance"])
                 plain = []
                 for lam in shapes:
-                    for mu in mus:
-                        for nu in nus:
-                            r = compute(lam, mu, nu)
-                            writer.writerow([str(lam), str(mu), str(nu), str(r.gamma),
-                                             r.provenance])
-                            plain.append(f"{str(lam):>16}  {str(mu):>12}  {str(nu):>12}  "
-                                         f"{r.gamma:>4}  {r.provenance}\n")
+                    for mu, nu in reader_pairs(shapes, family):
+                        r = compute(lam, mu, nu)
+                        writer.writerow([str(lam), str(mu), str(nu), str(r.gamma), r.provenance])
+                        plain.append(f"{str(lam):>16}  {str(mu):>12}  {str(nu):>12}  "
+                                     f"{r.gamma:>4}  {r.provenance}\n")
                 got_csv = invoke("table", "--n", str(n), "--family", family, "--format", "csv")
                 got_plain = invoke("table", "--n", str(n), "--family", family)
                 assert got_csv.stdout_bytes == csv_text.getvalue().encode(), (n, family)
@@ -239,39 +241,48 @@ class TestVerifyCommand:
             assert max(c.max_gamma for c in chunks) == serial.max_gamma
             assert not any(c.mismatches for c in chunks)
 
-    def test_mismatches_are_reported(self, monkeypatch):
-        # a two-row kernel off by one on lambda = (3,3) and (2,2,2), for any
-        # (mu, nu): the serial and the pooled sweep see the same faults
-        real = cli.kron_two_tworow
+    def test_family_pairs_match_the_readers(self):
+        for n in range(1, 13):
+            shapes = list(enumerate_partitions(n))
+            for family in cli.FAMILIES:
+                assert cli._family_pairs(shapes, family) == reader_pairs(shapes, family), (n, family)
+
+    @pytest.mark.parametrize("family", ["two-row", "hook-hook", "hook-two-row"])
+    def test_mismatches_are_reported(self, monkeypatch, family):
+        # the family's kernel, as closed_forms calls it, off by one on
+        # lambda = (3,3) and (2,2,2) for any (mu, nu): the serial and the
+        # pooled sweep see the same faults
+        kernel = {"two-row": "kron_two_tworow", "hook-hook": "kron_two_hooks",
+                  "hook-two-row": "kron_hook_tworow"}[family]
+        real = getattr(closed_forms, kernel)
         bad = {(3, 3), (2, 2, 2)}
 
         def off_by_one(lam, mu, nu):
             return real(lam, mu, nu) + (lam.parts in bad)
 
-        monkeypatch.setattr(cli, "kron_two_tworow", off_by_one)
+        monkeypatch.setattr(closed_forms, kernel, off_by_one)
         expected = sorted(
             ([list(lam.parts), list(mu.parts), list(nu.parts)], real(lam, mu, nu))
             for lam in map(Partition, bad)
-            for mu in enumerate_partitions(6) if two_row_parts(mu) is not None
-            for nu in enumerate_partitions(6) if two_row_parts(nu) is not None
+            for mu, nu in reader_pairs(list(enumerate_partitions(6)), family)
         )
 
         def faults(mismatches):
             assert all(m["closed"] == m["oracle"] + 1 for m in mismatches)
             return sorted(([m["lambda"], m["mu"], m["nu"]], m["oracle"]) for m in mismatches)
 
-        plain = invoke("verify", "--family", "two-row", "--n-max", "6")
+        plain = invoke("verify", "--family", family, "--n-max", "6")
         assert plain.exit_code == 1
         assert plain.output.splitlines()[0].endswith(" MISMATCH")
         offending = [ln for ln in plain.output.splitlines() if ln.startswith("  offending triple: ")]
         assert len(offending) == len(expected) == 2 * 4 * 4
-        as_json = invoke("verify", "--family", "two-row", "--n-max", "6", "--format", "json")
+        as_json = invoke("verify", "--family", family, "--n-max", "6", "--format", "json")
         assert as_json.exit_code == 1
         report = json.loads(as_json.output)
         assert faults(report["mismatches"]) == expected
         assert offending == [f"  offending triple: {m}" for m in report["mismatches"]]
-        serial = run_sweep("two-row", 6, jobs=1)
-        pooled = run_sweep("two-row", 6, jobs=2)  # a real pool; its workers fork
+        serial = run_sweep(family, 6, jobs=1)
+        pooled = run_sweep(family, 6, jobs=2)  # a real pool; its workers fork
         assert faults(serial.mismatches) == faults(pooled.mismatches) == expected
         assert serial.triples_checked == pooled.triples_checked == report["triples_checked"]
         assert serial.max_gamma == pooled.max_gamma == report["max_gamma"]
@@ -326,6 +337,16 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker
         run_sweep("two-row", 6, jobs=500)
         assert sizes == [4, 2] and tasks == [4, 2]
+
+
+class TestFuzzedInput:
+    @given(st.text(alphabet="0123456789,-.x ", max_size=8))
+    def test_lambda_token_is_answered_or_refused(self, token):
+        # mu and nu fix n = 3: a lambda of any other size is refused as a
+        # size mismatch, so no oracle query can run long
+        result = invoke("compute", "--lambda", token, "--mu", "2,1", "--nu", "2,1")
+        assert result.exit_code in (0, 2, 3), (token, result.output, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit), token
 
 
 class TestSelftestCommand:

@@ -19,6 +19,7 @@ from kroncoef import (
     TWO_ROW_TWO_ROW,
     compute,
     conjugate,
+    dimension,
     double_hook_parts,
     enumerate_partitions,
     hook_parts,
@@ -351,6 +352,31 @@ class TestHookKernelsBeyondExhaustiveRange:
                     assert kron_two_hooks(lam, mu, nu) == oracle(lam, mu, nu), (lam, mu, nu)
                     nu = rng.choice(rows)
                     assert kron_hook_tworow(lam, mu, nu) == oracle(lam, mu, nu), (lam, mu, nu)
+
+
+class TestDimensionIdentity:
+    """chi^mu chi^nu is the character of a representation of dimension
+    f^mu f^nu, so sum over lam of gamma(lam, mu, nu) f^lam = f^mu f^nu: a
+    check of every pair of a family at sizes the oracle cannot sweep."""
+
+    @pytest.mark.parametrize("kernel, mus_of, nus_of, n", [
+        (kron_two_tworow, two_rows_of, two_rows_of, 30),
+        (kron_two_hooks, hooks_of, hooks_of, 24),
+        (kron_hook_tworow, hooks_of, two_rows_of, 24),
+    ])
+    def test_family_pairs_fill_the_product_dimension(self, kernel, mus_of, nus_of, n):
+        # gamma vanishes off this support: lam has at most four rows for a
+        # two-row pair, and lam3 <= 2 (no cell (3,3)) when mu is a hook
+        shapes = list(enumerate_partitions(n))
+        if kernel is kron_two_tworow:
+            lams = [lam for lam in shapes if len(lam) <= 4]
+        else:
+            lams = [lam for lam in shapes if len(lam) < 3 or lam.parts[2] <= 2]
+        dims = {lam: dimension(lam) for lam in lams}
+        for mu in mus_of(n):
+            for nu in nus_of(n):
+                total = sum(kernel(lam, mu, nu) * dims[lam] for lam in lams)
+                assert total == dimension(mu) * dimension(nu), (mu, nu)
 
 
 class TestCompute:
