@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .partitions import Partition, conjugate, enumerate_partitions, z_of
+# enumerate_partitions is unused here: the benchmark's tracer binds it (test_bench_bindings.py)
+from .partitions import Partition, _partition_tuples, conjugate, enumerate_partitions, z_of
 
 
 class SizeMismatch(ValueError):
@@ -155,16 +156,20 @@ def _char_code(w: int, r: int) -> int:
     return _strip_sum(w, r) if cached is None else cached
 
 
-def _char(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Character value of the shape with parts lam at the cycle type rho."""
-    return _char_code(_code(lam), _code(rho))
-
-
 def character(lam: Partition, rho: Partition) -> int:
-    """Character value of the irreducible indexed by lam at cycle type rho."""
+    """Character value of the irreducible indexed by lam at cycle type rho.
+
+    The strip recursion takes one level per part of rho, so a rho too long
+    for Python's recursion limit (1^1200, say) raises ValueError naming its
+    length and n; the memo keeps only complete entries, so later calls are
+    unaffected."""
     if lam.n != rho.n:
         raise SizeMismatch(f"|{lam}| = {lam.n} but |{rho}| = {rho.n}")
-    return _char(lam.parts, rho.parts)
+    try:
+        return _char_code(_code(lam.parts), _code(rho.parts))
+    except RecursionError:
+        raise ValueError(f"cycle type of length {len(rho)} at n = {rho.n} is "
+                         "too long for the strip recursion") from None
 
 
 def dimension(lam: Partition) -> int:
@@ -183,8 +188,7 @@ def _classes(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """Cycle types of S_n with their bead codes (see _code) and class sizes
     n!/z_rho, in enumeration order."""
     nf = math.factorial(n)
-    return tuple((rho.parts, _code(rho.parts), nf // z_of(rho))
-                 for rho in enumerate_partitions(n))
+    return tuple((rho, _code(rho), nf // z_of(rho)) for rho in _partition_tuples(n))
 
 
 @lru_cache(maxsize=None)
@@ -304,8 +308,6 @@ def kron_oracle_column(mu: Partition, nu: Partition, lams: Sequence[Partition]) 
     checked, not assumed, for every lam, as in kron_oracle."""
     if mu.n != nu.n:
         raise SizeMismatch(f"sizes differ: |{mu}|={mu.n}, |{nu}|={nu.n}")
-    if not lams:
-        return []
     n = mu.n
     k, columns = _packed_columns(tuple(lam.parts for lam in lams), n)
     total = sum(map(mul, _pair_weights(mu.parts, nu.parts, n), columns))

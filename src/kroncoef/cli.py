@@ -35,7 +35,7 @@ from .closed_forms import (
     kron_two_hooks,  # benchmark's tracer binds them on cli (tests/test_bench_bindings.py)
     kron_two_tworow,
 )
-from .partitions import NegativePart, Partition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions
 
 # Each family sweeps the pairs of one closed form: the rows of CLOSED_FORMS
 # after the delta rule, in table order.
@@ -44,7 +44,7 @@ FAMILIES = (*SWEEP_FAMILIES, "all")
 
 
 class PartitionParam(click.ParamType):
-    """Comma-separated decreasing positive integers; "" is the empty partition."""
+    """Comma-separated integers in any order, zeros dropped; "" is the empty partition."""
 
     name = "partition"
 
@@ -53,7 +53,7 @@ class PartitionParam(click.ParamType):
             return value
         try:
             return Partition.from_text(value)
-        except (ValueError, NegativePart) as exc:  # includes int() failures
+        except ValueError as exc:  # includes int() failures and NegativePart
             self.fail(f"bad partition {value!r}: {exc}", param, ctx)
 
 

@@ -135,12 +135,12 @@ def double_hook_parts(lam: Partition) -> tuple[int, int, int, int] | None:
     return p.count(1), p[2:].count(2), p[1], p[0]
 
 
-def z_of(lam: Partition) -> int:
+def z_of(lam: Iterable[int]) -> int:
     """Centralizer order z_lam = prod_i i^{d_i} d_i! over part multiplicities d_i,
-    as one running product over the (sorted) parts: the k-th copy of a part p
-    contributes p * k."""
+    as one running product over the decreasing parts of lam, a Partition or a
+    part tuple: the k-th copy of a part p contributes p * k."""
     z, run, previous = 1, 0, 0
-    for p in lam.parts:
+    for p in lam:
         run = run + 1 if p == previous else 1
         previous = p
         z *= p * run
@@ -175,10 +175,4 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     (4), (3,1), (2,2), (2,1,1), (1,1,1,1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # the tuples are already in normal form, so each Partition is built
-    # without the constructor's sort, index check and zero strip
-    new = Partition.__new__
-    for parts in _partition_tuples(n):
-        lam = new(Partition)
-        lam.parts, lam.n, lam._conjugate = parts, n, None
-        yield lam
+    return map(Partition, _partition_tuples(n))

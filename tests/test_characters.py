@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from kroncoef import (
     IntegralityViolation,
+    Partition,
     SizeMismatch,
     character,
     conjugate,
@@ -15,10 +16,10 @@ from kroncoef import (
     enumerate_partitions,
     kron_oracle,
     make_partition,
+    z_of,
 )
 from kroncoef import characters
 from kroncoef.characters import (
-    _char,
     _char_row,
     _classes,
     _code,
@@ -49,6 +50,17 @@ def test_standard_character_of_s3():
     assert character(lam, make_partition([3])) == -1
 
 
+def test_cycle_type_too_long_for_the_recursion_is_refused():
+    long = make_partition([1] * 1200)
+    # a ValueError, where the recursion once raised RecursionError
+    with pytest.raises(ValueError, match=r"length 1200 at n = 1200"):
+        character(long, long)
+    # the memo keeps only complete entries, so later answers are unchanged
+    assert character(make_partition([1] * 500), make_partition([1] * 500)) == 1
+    lam, mu, nu = (make_partition(p) for p in ([3, 2, 1], [4, 2], [3, 3]))
+    assert kron_oracle(lam, mu, nu).gamma == 1
+
+
 def test_size_mismatch_rejected():
     with pytest.raises(SizeMismatch):
         character(make_partition([2, 1]), make_partition([2, 2]))
@@ -67,7 +79,7 @@ def test_conjugate_twists_by_sign():
 
 @lru_cache(maxsize=None)
 def reference_char(lam, rho):
-    """Murnaghan-Nakayama in beta-number form, the twin of _char: slide one
+    """Murnaghan-Nakayama in beta-number form, the twin of character: slide one
     bead of the beta set down rho[0] places onto a free position; the sign
     counts the beads it passes."""
     if not rho:
@@ -92,10 +104,10 @@ def test_char_matches_beta_number_reference():
     clear_cache()
     pairs = 0
     for n in range(13):
-        shapes = [p.parts for p in enumerate_partitions(n)]
+        shapes = list(enumerate_partitions(n))
         for lam in shapes:
             for rho in shapes:
-                assert _char(lam, rho) == reference_char(lam, rho), (lam, rho)
+                assert character(lam, rho) == reference_char(lam.parts, rho.parts), (lam, rho)
                 pairs += 1
     assert pairs == 12648
 
@@ -103,14 +115,14 @@ def test_char_matches_beta_number_reference():
 @st.composite
 def shape_and_class(draw):
     n = draw(st.integers(min_value=13, max_value=24))
-    shapes = [p.parts for p in enumerate_partitions(n)]
+    shapes = list(enumerate_partitions(n))
     return draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
 
 
 @given(shape_and_class())
 def test_char_matches_reference_beyond_exhaustive_range(pair):
     lam, rho = pair
-    assert _char(lam, rho) == reference_char(lam, rho)
+    assert character(lam, rho) == reference_char(lam.parts, rho.parts)
 
 
 def test_code_has_one_bead_per_row_and_no_bead_at_zero():
@@ -131,7 +143,7 @@ def test_cycle_type_code_decodes_to_first_part_and_rest():
             assert r ^ (1 << (r.bit_length() - 1)) == _code(rho.parts[1:]), rho
     clear_cache()
     assert _code(()) == 0
-    assert _char((), ()) == 1
+    assert character(make_partition([]), make_partition([])) == 1
     assert _char_row((), 0) == (1,)
 
 
@@ -154,11 +166,39 @@ def test_cold_char_rows_match_beta_number_reference():
     assert rows == 12
 
 
+def test_class_table_matches_one_built_from_partitions():
+    # the class table reads part tuples; the same table built from
+    # Partitions, as it once was, must agree entry for entry
+    for n in range(21):
+        nf = math.factorial(n)
+        built = tuple((rho.parts, _code(rho.parts), nf // z_of(rho))
+                      for rho in enumerate_partitions(n))
+        assert _classes(n) == built, n
+
+
+def test_cold_oracle_and_class_table_build_no_partition(monkeypatch):
+    lam, mu, nu = (make_partition(p) for p in ([5, 4, 3, 2], [6, 4, 3, 1], [5, 5, 3, 1]))
+    built = []
+    init = Partition.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    clear_cache()
+    kron_oracle(lam, mu, nu)
+    _classes(18)
+    assert built == []
+    make_partition([2, 1])
+    assert len(built) == 1  # the counter sees the constructor
+
+
 def test_strip_to_the_empty_shape_is_shifted_to_zero():
     # the 3-strip is all of (1,1,1): its bead moves 3 -> 0 over two beads, and the
     # remaining beads 0,1,2 are three zero parts, which the shift turns into code 0
     assert _code((1, 1, 1)) == 0b1110
-    assert _char((1, 1, 1), (3,)) == 1
+    assert character(make_partition([1, 1, 1]), make_partition([3])) == 1
 
 
 def test_bottom_cell_of_21_leaves_the_code_of_2():
@@ -166,7 +206,7 @@ def test_bottom_cell_of_21_leaves_the_code_of_2():
     # leaves one bead at 2, the code of (2); cycle types are keyed by their
     # codes too: (1,1,1) is 0b1110, (1,1) is 0b110 and (1) is 0b10
     clear_cache()
-    assert _char((2, 1), (1, 1, 1)) == 2
+    assert character(make_partition([2, 1]), make_partition([1, 1, 1])) == 2
     assert _code((2,)) == 0b100
     assert (0b100, 0b110) in characters._strip_cache
     assert set(characters._strip_cache) == {(0b1010, 0b1110), (0b110, 0b110),
@@ -200,7 +240,7 @@ def test_dimensions():
 def test_dimension_matches_character_at_identity():
     for n in range(13):
         for lam in enumerate_partitions(n):
-            assert dimension(lam) == _char(lam.parts, (1,) * n), lam
+            assert dimension(lam) == character(lam, make_partition([1] * n)), lam
 
 
 def test_dimension_of_large_rectangle_is_catalan():
@@ -210,7 +250,6 @@ def test_dimension_of_large_rectangle_is_catalan():
 
 def test_column_orthogonality():
     # rows of the character table are orthonormal under the class weighting
-    from kroncoef import z_of
 
     for n in range(1, 9):
         shapes = list(enumerate_partitions(n))

@@ -2,9 +2,10 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kroncoef import (
@@ -17,6 +18,7 @@ from kroncoef import (
     ShapeMismatch,
     SizeMismatch,
     TWO_ROW_TWO_ROW,
+    character,
     compute,
     conjugate,
     dimension,
@@ -41,11 +43,13 @@ def oracle(lam, mu, nu):
 
 
 def hooks_of(n):
-    return [p for p in enumerate_partitions(n) if hook_parts(p) is not None]
+    """The hooks (n - d, 1^d) with an arm and a leg, in enumeration order."""
+    return [make_partition([n - d] + [1] * d) for d in range(1, n - 1)]
 
 
 def two_rows_of(n):
-    return [p for p in enumerate_partitions(n) if two_row_parts(p) is not None]
+    """The shapes (n - j, j) of n > 0, in enumeration order."""
+    return [make_partition([n - j, j]) for j in range(n // 2 + 1)] if n else []
 
 
 def table_variants(lam, mu, nu):
@@ -354,29 +358,94 @@ class TestHookKernelsBeyondExhaustiveRange:
                     assert kron_hook_tworow(lam, mu, nu) == oracle(lam, mu, nu), (lam, mu, nu)
 
 
-class TestDimensionIdentity:
-    """chi^mu chi^nu is the character of a representation of dimension
-    f^mu f^nu, so sum over lam of gamma(lam, mu, nu) f^lam = f^mu f^nu: a
-    check of every pair of a family at sizes the oracle cannot sweep."""
+def shapes_within(n, rows, widest):
+    """Partitions of n into at most rows parts, each at most widest, as tuples."""
+    if n == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    for first in range(min(n, widest), 0, -1):
+        for rest in shapes_within(n - first, rows - 1, first):
+            yield (first,) + rest
 
-    @pytest.mark.parametrize("kernel, mus_of, nus_of, n", [
-        (kron_two_tworow, two_rows_of, two_rows_of, 30),
-        (kron_two_hooks, hooks_of, hooks_of, 24),
-        (kron_hook_tworow, hooks_of, two_rows_of, 24),
+
+def support_of(kernel, n):
+    """The lam off which the family pairs of kernel give gamma = 0: at most
+    four rows for a two-row pair, lam3 <= 2 (no cell (3,3)) when mu is a
+    hook.  Built row by row, without enumerating all p(n) shapes: the top two
+    rows, then a tail of twos and ones no wider than the second row."""
+    if kernel is kron_two_tworow:
+        return [make_partition(p) for p in shapes_within(n, 4, n)]
+    return [make_partition(top + tail)
+            for m in range(n + 1)
+            for top in shapes_within(n - m, 2, n)
+            for tail in shapes_within(m, m, min(2, top[1] if len(top) == 2 else 0))]
+
+
+@lru_cache(maxsize=None)
+def support_dimensions(kernel, n):
+    return [(lam, dimension(lam)) for lam in support_of(kernel, n)]
+
+
+def column(n, k):
+    """The cycle type (k, 1^(n-k))."""
+    return make_partition([k] + [1] * (n - k))
+
+
+FAMILY_KERNELS = [
+    (kron_two_tworow, two_rows_of, two_rows_of, 30),
+    (kron_two_hooks, hooks_of, hooks_of, 24),
+    (kron_hook_tworow, hooks_of, two_rows_of, 24),
+]
+
+
+# the seeded identity check past n = 30: one family pair per example
+LARGEST_N, MAX_EXAMPLES = 50, 25
+
+
+class TestDimensionIdentity:
+    """chi^mu chi^nu is the character of the inner tensor product, so sum over
+    lam of gamma(lam, mu, nu) chi^lam(rho) = chi^mu(rho) chi^nu(rho) for every
+    class rho; at rho = 1^n it reads sum of gamma f^lam = f^mu f^nu.  A check
+    of every pair of a family at sizes the oracle cannot sweep."""
+
+    @pytest.mark.parametrize("kernel, mus_of, nus_of, n, k", [
+        # the hook columns rho = (k, 1^(n-k)); k = 1, the dimension identity,
+        # keeps the id it had before the other columns joined
+        pytest.param(kernel, mus_of, nus_of, n, k,
+                     id=f"{kernel.__name__}-{mus_of.__name__}-{nus_of.__name__}-{n}"
+                        + ("" if k == 1 else f"-k{k}"))
+        for kernel, mus_of, nus_of, n in FAMILY_KERNELS for k in (1, 2, 3)
     ])
-    def test_family_pairs_fill_the_product_dimension(self, kernel, mus_of, nus_of, n):
-        # gamma vanishes off this support: lam has at most four rows for a
-        # two-row pair, and lam3 <= 2 (no cell (3,3)) when mu is a hook
-        shapes = list(enumerate_partitions(n))
-        if kernel is kron_two_tworow:
-            lams = [lam for lam in shapes if len(lam) <= 4]
-        else:
-            lams = [lam for lam in shapes if len(lam) < 3 or lam.parts[2] <= 2]
-        dims = {lam: dimension(lam) for lam in lams}
+    def test_family_pairs_fill_the_product_dimension(self, kernel, mus_of, nus_of, n, k):
+        rho = column(n, k)
+        lams = support_of(kernel, n)
+        chi = {lam: character(lam, rho) for lam in lams}
         for mu in mus_of(n):
             for nu in nus_of(n):
-                total = sum(kernel(lam, mu, nu) * dims[lam] for lam in lams)
-                assert total == dimension(mu) * dimension(nu), (mu, nu)
+                total = sum(kernel(lam, mu, nu) * chi[lam] for lam in lams)
+                assert total == character(mu, rho) * character(nu, rho), (mu, nu)
+
+    def test_shape_builders_match_the_shapes_they_filter(self):
+        for n in range(17):
+            shapes = list(enumerate_partitions(n))
+            assert hooks_of(n) == [lam for lam in shapes if hook_parts(lam) is not None]
+            assert two_rows_of(n) == [lam for lam in shapes if two_row_parts(lam) is not None]
+            assert support_of(kron_two_tworow, n) == [lam for lam in shapes if len(lam) <= 4]
+            assert (sorted(support_of(kron_two_hooks, n), key=lambda lam: lam.parts)
+                    == sorted((lam for lam in shapes if len(lam) < 3 or lam.parts[2] <= 2),
+                              key=lambda lam: lam.parts)), n
+
+    @settings(max_examples=MAX_EXAMPLES)
+    @given(st.data())
+    def test_one_pair_past_the_exhaustive_sizes(self, data):
+        n = data.draw(st.integers(31, LARGEST_N))
+        kernel, mus_of, nus_of, _ = data.draw(st.sampled_from(FAMILY_KERNELS))
+        mu = data.draw(st.sampled_from(mus_of(n)))
+        nu = data.draw(st.sampled_from(nus_of(n)))
+        total = sum(kernel(lam, mu, nu) * f for lam, f in support_dimensions(kernel, n))
+        assert total == dimension(mu) * dimension(nu), (mu, nu)
 
 
 class TestCompute:
