@@ -1,6 +1,7 @@
 """Layer timings of the character oracle: the class table, one cold
-character row and one cold oracle query, for n = 14, 16, ..., 24, and the
-in-process verification sweep that certifies the closed forms against it.
+character row and one cold oracle query, for n = 14, 16, ..., 24, the
+in-process verification sweep that certifies the closed forms against it,
+and the CLI's table of every triple of one n.
 
     PYTHONPATH=src python scripts/bench_characters.py [--out BENCH_characters.json]
 
@@ -18,25 +19,31 @@ and the number of ``_strip_cache`` entries that one cold row leaves behind.
 Under ``sweep_inprocess_ms`` it records, for each sweep family and n_max in
 SWEEP_N_MAX, the median over REPS of ``run_sweep(family, n_max, jobs=1)``
 right after ``clear_cache()``: the whole sweep in this process, oracle and
-closed forms together.  Only ``clear_cache``, ``_classes``, ``_char_row``,
-``_strip_cache``, ``kron_oracle``, ``run_sweep`` and ``SWEEP_FAMILIES`` are
-used, so the script runs unchanged against earlier versions of the package.
+closed forms together.  Under ``table_cold_ms`` it records, for each n in
+TABLE_N, the median over REPS of ``table --n N --family all --format csv``
+through ``cli.main`` with standard output sent to a null sink, right after
+``clear_cache()``: the whole table of one n.  Only ``clear_cache``,
+``_classes``, ``_char_row``, ``_strip_cache``, ``kron_oracle``,
+``run_sweep``, ``SWEEP_FAMILIES`` and ``cli.main`` are used, so the script
+runs unchanged against earlier versions of the package.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import statistics
 import time
 
-from kroncoef import characters, make_partition
+from kroncoef import characters, cli, make_partition
 from kroncoef.cli import SWEEP_FAMILIES, run_sweep
 
 REPS = 5
 SWEEP_N_MAX = (10, 12, 14)
+TABLE_N = (8, 9, 10)
 # general shapes: at least three rows, second part >= 3, third part >= 2, so
 # no closed form applies to any triple or its conjugates
 TRIPLES = {
@@ -91,6 +98,18 @@ def sweep_inprocess_ms(family: str, n_max: int) -> tuple[float, int]:
     return statistics.median(times) * 1e3, report.triples_checked
 
 
+def table_cold_ms(n: int) -> float:
+    argv = ["table", "--n", str(n), "--family", "all", "--format", "csv"]
+    times = []
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for _ in range(REPS):
+            characters.clear_cache()
+            start = time.perf_counter()
+            cli.main(argv, standalone_mode=False)
+            times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_characters.json")
@@ -111,10 +130,14 @@ def main() -> None:
             sweeps.append({"family": family, "n_max": n_max, "triples": triples,
                            "ms": round(ms, 3)})
             print(json.dumps(sweeps[-1]))
+    tables = []
+    for n in TABLE_N:
+        tables.append({"n": n, "ms": round(table_cold_ms(n), 3)})
+        print(json.dumps(tables[-1]))
     report = {"topic": "characters", "cache": "cold: clear_cache() before every repetition",
               "statistic": "median", "repetitions": REPS,
               "python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": rows,
-              "sweep_inprocess_ms": sweeps}
+              "sweep_inprocess_ms": sweeps, "table_cold_ms": tables}
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -17,7 +17,9 @@ moves of a shape are memoized per strip length in ``_strip_moves``, and
 This module is the independent ground truth the closed forms are tested against.
 
 ``kron_oracle`` answers one triple.  ``kron_oracle_column`` answers one pair
-(mu, nu) for a whole list of lambdas, as a verification sweep needs: it packs
+(mu, nu) for a whole list of lambdas, as a verification sweep and a (lambda,
+mu) block of the CLI's table need (gamma is symmetric, so the block's pair
+takes the first two slots and its nus the list): it packs
 chi^lam(rho) for every lambda into one int per class rho, one signed field of
 k bits each, and reads every n! * gamma off one big-int class sum.  Column
 orthogonality bounds |n! * gamma| by n! * sum over rho of (isqrt(z_rho) + 1),
@@ -198,12 +200,12 @@ def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(_char_code(code, r) for _, r, _ in _classes(n))
 
 
-@lru_cache(maxsize=1)  # the table loop runs nu innermost
+@lru_cache(maxsize=1)  # callers run the third shape innermost
 def _pair_weights(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Class size times chi^lam times chi^mu for every class of S_n, aligned
-    with _classes(n).  One entry is kept: a run of queries sharing (lam, mu)
-    reads one character row each instead of three.  kron_oracle_column forms
-    it once per (mu, nu) pair."""
+    with _classes(n).  One entry is kept: a run of kron_oracle queries
+    sharing (lam, mu) reads one character row each instead of three.
+    kron_oracle_column forms it once per call, for its pair."""
     return tuple(
         size * a * b
         for (_, _, size), a, b in zip(_classes(n), _char_row(lam, n), _char_row(mu, n))
@@ -304,8 +306,9 @@ def kron_oracle_column(mu: Partition, nu: Partition, lams: Sequence[Partition]) 
     carries n! * gamma(lam, mu, nu) in field i for lams[i]; k bounds every
     such sum (see _packed_columns), so the signed fields never overlap.  The
     columns are kept for one share at a time: a caller running many (mu, nu)
-    pairs against the same lams builds them once.  Divisibility by n! is
-    checked, not assumed, for every lam, as in kron_oracle."""
+    pairs against the same lams builds them once, as a sweep worker does
+    with its share of lambdas and the table with its nus.  Divisibility by
+    n! is checked, not assumed, for every lam, as in kron_oracle."""
     if mu.n != nu.n:
         raise SizeMismatch(f"sizes differ: |{mu}|={mu.n}, |{nu}|={nu.n}")
     n = mu.n

@@ -4,8 +4,11 @@ and a quick self-test battery.
 Exit codes: 0 success, 1 verification mismatch (or no closed form in closed
 mode), 2 parse error, 3 size mismatch.  Machine-readable formats emit one JSON
 object per line or CSV with the fixed column order lambda, mu, nu, gamma,
-provenance.  verify certifies each family through the form compute uses: the
-pairs its row of CLOSED_FORMS selects, valued by _try_closed, against the oracle.
+provenance.  table answers a (lambda, mu) block at a time with
+_compute_block, compute's dispatch with one oracle column per block; its
+JSON rows each time their own compute call.  verify certifies each family
+through the form compute uses: the pairs its row of CLOSED_FORMS selects,
+valued by _try_closed, against the oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .closed_forms import (
     CLOSED_FORMS,
     METHODS,
     NoClosedFormApplicable,
+    _compute_block,
     _shape_code,
     _try_closed,
     compute,
@@ -128,24 +132,23 @@ def cmd_compute(lam, mu, nu, method, fmt):
         click.echo(f"moves = {' '.join(result.moves) if result.moves else '(none)'}")
 
 
-def _family_pairs(shapes, family):
-    """(mu, nu) pairs of a family, in enumeration order: the shapes whose
-    class bits hold those its closed form needs of mu and of nu; "all" pairs
-    every two shapes."""
+def _family_sides(shapes, family):
+    """The mus and the nus of a family, in enumeration order: the shapes
+    whose class bits hold those its closed form needs of mu and of nu; "all"
+    takes every shape on both sides."""
     if family == "all":
-        return [(mu, nu) for mu in shapes for nu in shapes]
+        return shapes, shapes
     form = SWEEP_FAMILIES[family]
     mus = [p for p in shapes if _shape_code(p.parts) & form.mu == form.mu]
     nus = [p for p in shapes if _shape_code(p.parts) & form.nu == form.nu]
+    return mus, nus
+
+
+def _family_pairs(shapes, family):
+    """(mu, nu) pairs of a family, in enumeration order: every mu of the
+    family with every nu of it."""
+    mus, nus = _family_sides(shapes, family)
     return [(mu, nu) for mu in mus for nu in nus]
-
-
-def _family_triples(shapes, family):
-    """Triples of the family over the shapes of one n, in enumeration order."""
-    pairs = _family_pairs(shapes, family)
-    for lam in shapes:
-        for mu, nu in pairs:
-            yield lam, mu, nu
 
 
 @dataclass
@@ -222,20 +225,33 @@ def run_sweep(family: str, n_max: int, jobs: int = 1) -> SweepReport:
 def cmd_table(n, family, fmt):
     """Emit gamma for every triple of the family, one row per triple, in
     enumeration order."""
-    writer = _csv_writer() if fmt == "csv" else None
     shapes = list(enumerate_partitions(n))
-    labels = {p: str(p) for p in shapes}  # each shape is formatted once per table
-    for lam, mu, nu in _family_triples(shapes, family):
-        if fmt == "json":  # only JSON rows carry a time, so only they take one
-            result, elapsed_us = _timed_compute(lam, mu, nu, AUTO)
-            click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
-            continue
-        result = compute(lam, mu, nu, AUTO)
-        if fmt == "csv":
-            writer.writerow(_csv_fields(labels[lam], labels[mu], labels[nu], result))
-        else:
-            click.echo(f"{labels[lam] or '-':>16}  {labels[mu] or '-':>12}  "
-                       f"{labels[nu] or '-':>12}  {result.gamma:>4}  {result.provenance}")
+    mus, nus = _family_sides(shapes, family)
+    if fmt == "json":  # each row carries its own compute time
+        for lam in shapes:
+            for mu in mus:
+                for nu in nus:
+                    result, elapsed_us = _timed_compute(lam, mu, nu, AUTO)
+                    click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
+        return
+    # labels and nu class codes are formed once per table; rows stream out
+    # a (lam, mu) block at a time, one write each
+    nu_codes = [_shape_code(nu.parts) for nu in nus]
+    blocks = ((lam, mu, _compute_block(lam, mu, nus, nu_codes)) for lam in shapes for mu in mus)
+    labels = {p: str(p) for p in shapes}
+    if fmt == "csv":
+        writer = _csv_writer()
+        nu_labels = [labels[nu] for nu in nus]
+        for lam, mu, results in blocks:
+            lam_label, mu_label = labels[lam], labels[mu]
+            for nu_label, result in zip(nu_labels, results):
+                writer.writerow(_csv_fields(lam_label, mu_label, nu_label, result))
+        return
+    nu_cells = [f"{labels[nu] or '-':>12}" for nu in nus]
+    for lam, mu, results in blocks:
+        head = f"{labels[lam] or '-':>16}  {labels[mu] or '-':>12}  "
+        for nu_cell, result in zip(nu_cells, results):
+            click.echo(f"{head}{nu_cell}  {result.gamma:>4}  {result.provenance}")
 
 
 @main.command("verify")

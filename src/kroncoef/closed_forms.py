@@ -5,10 +5,13 @@ Every formula is exact and certified against the character oracle by the test
 suite.  The sanctioned symmetry moves are: any permutation of (lambda, mu, nu),
 and conjugating any two of the three shapes simultaneously.  CLOSED_FORMS states
 once the shape classes each form needs; compute and the CLI's sweep read it.
+_compute_block answers a whole (lam, mu) block of the CLI's table with
+compute's dispatch and one oracle column.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -16,10 +19,12 @@ from .characters import (
     DELTA_RULE,
     HOOK_HOOK,
     HOOK_TWO_ROW,
+    ORACLE,
     TWO_ROW_TWO_ROW,
     KroneckerResult,
     _check_sizes,
     kron_oracle,
+    kron_oracle_column,
 )
 from .lattice import gamma_region_closed
 from .partitions import (
@@ -357,3 +362,33 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     a, b, c = (shapes[s] if s < 3 else conjugate(shapes[s - 3]) for s in variant.sources)
     gamma = _try_closed(provenance, a, b, c)
     return KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, variant.moves)
+
+
+def _compute_block(lam: Partition, mu: Partition, nus: Sequence[Partition],
+                   nu_codes: Sequence[int]) -> list[KroneckerResult]:
+    """compute(lam, mu, nu) for every nu of nus, in order; nu_codes[i] is
+    _shape_code(nus[i].parts), formed once by a caller running many blocks.
+
+    Each nu goes through compute's dispatch, with the signature head
+    code(lam) | code(mu) << 3 formed once for the block.  The rows no
+    closed form answers all come from one kron_oracle_column(lam, mu, nus),
+    since gamma(nu, lam, mu) = gamma(lam, mu, nu); it is built only when
+    the block has such a row.  Every gamma is checked to be nonnegative.
+    """
+    head = _shape_code(lam.parts) | _shape_code(mu.parts) << 3
+    column = None
+    results = []
+    for i, (nu, code) in enumerate(zip(nus, nu_codes)):
+        _check_sizes(lam, mu, nu)
+        found = _candidate(head | code << 6)
+        if found is None:
+            if column is None:
+                column = kron_oracle_column(lam, mu, nus)
+            results.append(KroneckerResult(_nonnegative(column[i], lam, mu, nu), ORACLE))
+            continue
+        variant, provenance = found
+        shapes = (lam, mu, nu)
+        a, b, c = (shapes[s] if s < 3 else conjugate(shapes[s - 3]) for s in variant.sources)
+        gamma = _try_closed(provenance, a, b, c)
+        results.append(KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, variant.moves))
+    return results

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from kroncoef import (Partition, cli, closed_forms, compute, enumerate_partitions, hook_parts,
                       two_row_parts)
-from kroncoef.characters import ORACLE, KroneckerResult
 from kroncoef.cli import main, run_sweep
 from kroncoef.closed_forms import InvariantViolation
 
@@ -136,32 +135,71 @@ class TestTableCommand:
             assert json.loads(again.output)["gamma"] == record["gamma"]
 
     def test_negative_row_raises(self, monkeypatch):
-        # compute checks every route's gamma: at n = 6, (3,2,1)^3 is an oracle row
-        monkeypatch.setattr(closed_forms, "kron_oracle",
-                            lambda lam, mu, nu: KroneckerResult(-1, ORACLE))
+        # a block's oracle rows come from one column: at n = 6, (3,2,1)^3 is
+        # an oracle row, and every row's gamma is checked
+        monkeypatch.setattr(closed_forms, "kron_oracle_column",
+                            lambda lam, mu, nus: [-1] * len(nus))
         result = invoke("table", "--n", "6", "--format", "csv")
         assert isinstance(result.exception, InvariantViolation)
 
+    def test_negative_closed_row_raises(self, monkeypatch):
+        # every two-row table row is closed; the block checks the kernel's gamma
+        monkeypatch.setattr(closed_forms, "kron_two_tworow", lambda lam, mu, nu: -1)
+        result = invoke("table", "--n", "6", "--family", "two-row", "--format", "csv")
+        assert isinstance(result.exception, InvariantViolation)
+
     def test_rows_equal_per_triple_compute(self):
-        # the label map formats each shape once; the bytes must be those of
-        # formatting every row from scratch
-        for n in range(1, 7):
+        # the block evaluator and the label map answer and format the table;
+        # the bytes must be those of one compute and one formatting per row
+        cases = [(n, family) for n in range(1, 7) for family in cli.FAMILIES]
+        for n, family in cases + [(7, "all"), (8, "all")]:
+            shapes = list(enumerate_partitions(n))
+            csv_text = io.StringIO()
+            writer = csv.writer(csv_text, lineterminator="\n")
+            writer.writerow(["lambda", "mu", "nu", "gamma", "provenance"])
+            plain = []
+            for lam in shapes:
+                for mu, nu in reader_pairs(shapes, family):
+                    r = compute(lam, mu, nu)
+                    writer.writerow([str(lam), str(mu), str(nu), str(r.gamma), r.provenance])
+                    plain.append(f"{str(lam):>16}  {str(mu):>12}  {str(nu):>12}  "
+                                 f"{r.gamma:>4}  {r.provenance}\n")
+            got_csv = invoke("table", "--n", str(n), "--family", family, "--format", "csv")
+            got_plain = invoke("table", "--n", str(n), "--family", family)
+            assert got_csv.stdout_bytes == csv_text.getvalue().encode(), (n, family)
+            assert got_plain.stdout_bytes == "".join(plain).encode(), (n, family)
+
+    def test_json_rows_equal_the_block_rows(self):
+        # JSON rows are timed one compute each; the other formats read the
+        # block evaluator, and the two must give the same answers
+        for n in range(1, 6):
             shapes = list(enumerate_partitions(n))
             for family in cli.FAMILIES:
-                csv_text = io.StringIO()
-                writer = csv.writer(csv_text, lineterminator="\n")
-                writer.writerow(["lambda", "mu", "nu", "gamma", "provenance"])
-                plain = []
-                for lam in shapes:
-                    for mu, nu in reader_pairs(shapes, family):
-                        r = compute(lam, mu, nu)
-                        writer.writerow([str(lam), str(mu), str(nu), str(r.gamma), r.provenance])
-                        plain.append(f"{str(lam):>16}  {str(mu):>12}  {str(nu):>12}  "
-                                     f"{r.gamma:>4}  {r.provenance}\n")
-                got_csv = invoke("table", "--n", str(n), "--family", family, "--format", "csv")
-                got_plain = invoke("table", "--n", str(n), "--family", family)
-                assert got_csv.stdout_bytes == csv_text.getvalue().encode(), (n, family)
-                assert got_plain.stdout_bytes == "".join(plain).encode(), (n, family)
+                mus, nus = cli._family_sides(shapes, family)
+                codes = [closed_forms._shape_code(nu.parts) for nu in nus]
+                want = [([*lam.parts], [*mu.parts], [*nu.parts], str(r.gamma), r.provenance,
+                         [*r.moves])
+                        for lam in shapes for mu in mus
+                        for nu, r in zip(nus, closed_forms._compute_block(lam, mu, nus, codes))]
+                got = invoke("table", "--n", str(n), "--family", family, "--format", "json")
+                records = [json.loads(line) for line in got.output.splitlines()]
+                keys = ("lambda", "mu", "nu", "gamma", "provenance", "moves")
+                assert [tuple(r[k] for k in keys) for r in records] == want, (n, family)
+
+    @pytest.mark.parametrize("family", ["two-row", "hook-hook", "hook-two-row"])
+    def test_closed_families_build_no_column(self, monkeypatch, family):
+        # no triple of these families goes to the oracle, so no block builds
+        # its column
+        def refuse(lam, mu, nus):
+            raise AssertionError(f"column built for ({lam}; {mu})")
+
+        monkeypatch.setattr(closed_forms, "kron_oracle_column", refuse)
+        shapes = list(enumerate_partitions(12))
+        for fmt in ("csv", "plain"):
+            result = invoke("table", "--n", "12", "--family", family, "--format", fmt)
+            assert result.exit_code == 0, (fmt, result.exception)
+            rows = result.stdout_bytes.count(b"\n") - (fmt == "csv")
+            assert rows == len(shapes) * len(reader_pairs(shapes, family)), fmt
 
     def test_n_below_one_is_a_parse_error(self):
         for n in ("0", "-1"):
