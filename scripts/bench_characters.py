@@ -22,10 +22,17 @@ right after ``clear_cache()``: the whole sweep in this process, oracle and
 closed forms together.  Under ``table_cold_ms`` it records, for each n in
 TABLE_N, the median over REPS of ``table --n N --family all --format csv``
 through ``cli.main`` with standard output sent to a null sink, right after
-``clear_cache()``: the whole table of one n.  Only ``clear_cache``,
+``clear_cache()``: the whole table of one n.  Under ``compute_warm_us`` it
+records, for each provenance, the median wall time of one ``compute`` call
+over REPS timed passes through COMPUTE_SAMPLE triples of n = COMPUTE_N drawn
+with the fixed seed COMPUTE_SEED, after ``clear_cache()`` and one untimed
+pass: every character row and closed-form lookup is warm, while the
+oracle's one-entry pair-weight cache still misses whenever the pair
+changes, as it does for a random query.  Only ``clear_cache``,
 ``_classes``, ``_char_row``, ``_strip_cache``, ``kron_oracle``,
-``run_sweep``, ``SWEEP_FAMILIES`` and ``cli.main`` are used, so the script
-runs unchanged against earlier versions of the package.
+``compute``, ``enumerate_partitions``, ``run_sweep``, ``SWEEP_FAMILIES``
+and ``cli.main`` are used, so the script runs unchanged against earlier
+versions of the package.
 """
 
 from __future__ import annotations
@@ -35,15 +42,20 @@ import contextlib
 import json
 import os
 import platform
+import random
 import statistics
 import time
 
-from kroncoef import characters, cli, make_partition
+from kroncoef import characters, cli, compute, enumerate_partitions, make_partition
 from kroncoef.cli import SWEEP_FAMILIES, run_sweep
 
 REPS = 5
 SWEEP_N_MAX = (10, 12, 14)
 TABLE_N = (8, 9, 10)
+COMPUTE_N = 12
+COMPUTE_SAMPLE = 2000
+COMPUTE_SEED = 12
+PROVENANCES = ("DeltaRule", "TwoRowTwoRow", "HookHook", "HookTwoRow", "Oracle")
 # general shapes: at least three rows, second part >= 3, third part >= 2, so
 # no closed form applies to any triple or its conjugates
 TRIPLES = {
@@ -110,6 +122,23 @@ def table_cold_ms(n: int) -> float:
     return statistics.median(times) * 1e3
 
 
+def compute_warm_us() -> list[dict]:
+    shapes = list(enumerate_partitions(COMPUTE_N))
+    rng = random.Random(COMPUTE_SEED)
+    triples = [tuple(rng.choice(shapes) for _ in range(3)) for _ in range(COMPUTE_SAMPLE)]
+    characters.clear_cache()
+    provenances = [compute(*triple).provenance for triple in triples]  # the untimed pass
+    times: dict[str, list[float]] = {name: [] for name in PROVENANCES}
+    for _ in range(REPS):
+        for triple, name in zip(triples, provenances):
+            start = time.perf_counter()
+            compute(*triple)
+            times[name].append(time.perf_counter() - start)
+    return [{"provenance": name, "triples": provenances.count(name),
+             "us": round(statistics.median(times[name]) * 1e6, 3)}
+            for name in PROVENANCES]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_characters.json")
@@ -134,10 +163,14 @@ def main() -> None:
     for n in TABLE_N:
         tables.append({"n": n, "ms": round(table_cold_ms(n), 3)})
         print(json.dumps(tables[-1]))
+    computes = {"n": COMPUTE_N, "triples": COMPUTE_SAMPLE, "seed": COMPUTE_SEED,
+                "by_provenance": compute_warm_us()}
+    print(json.dumps(computes))
     report = {"topic": "characters", "cache": "cold: clear_cache() before every repetition",
               "statistic": "median", "repetitions": REPS,
               "python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": rows,
-              "sweep_inprocess_ms": sweeps, "table_cold_ms": tables}
+              "sweep_inprocess_ms": sweeps, "table_cold_ms": tables,
+              "compute_warm_us": computes}
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

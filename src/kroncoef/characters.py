@@ -21,10 +21,10 @@ This module is the independent ground truth the closed forms are tested against.
 mu) block of the CLI's table need (gamma is symmetric, so the block's pair
 takes the first two slots and its nus the list): it packs
 chi^lam(rho) for every lambda into one int per class rho, one signed field of
-k bits each, and reads every n! * gamma off one big-int class sum.  Column
-orthogonality bounds |n! * gamma| by n! * sum over rho of (isqrt(z_rho) + 1),
-and k is that bound's bit length plus 2, so the fields never overlap; the
-packed columns are kept for one list of lambdas at a time, and
+k bits each, and reads every n! * gamma off one big-int class sum.  gamma is
+at most the dimension f^lam, itself at most sqrt(n!), so k depends on n
+alone: the bit length of n! * (isqrt(n!) + 1) plus 2, and the fields never
+overlap; the packed columns are kept for one list of lambdas at a time, and
 ``clear_cache`` drops them too.
 """
 
@@ -243,17 +243,17 @@ def _packed_columns(share: tuple[tuple[int, ...], ...], n: int) -> tuple[int, tu
     one int per class rho of S_n (field i holds share[i]; see _pack), aligned
     with _classes(n).
 
-    k is wide enough for every class sum these columns enter.  Column
-    orthogonality gives chi(rho)**2 <= z_rho for any character, so
-    |C_rho| * chi^lam * chi^mu * chi^nu is at most n!/z_rho * z_rho * sqrt(z_rho),
-    and |n! * gamma| <= n! * sum over rho of (isqrt(z_rho) + 1).  k is that
-    bound's bit_length plus 2: 36, 57 and 94 bits at n = 10, 14 and 20."""
+    k is wide enough for every class sum these columns enter, and depends on
+    n alone.  With |chi^lam(rho)| <= f^lam, Cauchy-Schwarz and row
+    orthogonality give n! * gamma <= f^lam * n!, so gamma <= f^lam; the sum of
+    (f^lam)**2 over lam is n!, so f^lam <= isqrt(n!).  Hence
+    0 <= n! * gamma <= n! * isqrt(n!), and k is the bit_length of
+    n! * (isqrt(n!) + 1) plus 2: 35, 57 and 94 bits at n = 10, 14 and 20."""
     for parts in share:
         if sum(parts) != n:
             raise SizeMismatch(f"|{parts}| = {sum(parts)} but the pair has size {n}")
-    classes = _classes(n)
     nf = math.factorial(n)
-    k = (nf * sum(math.isqrt(nf // size) + 1 for _, _, size in classes)).bit_length() + 2
+    k = (nf * (math.isqrt(nf) + 1)).bit_length() + 2
     rows = [_char_row(lam, n) for lam in share]
     return k, tuple(_pack(column, k) for column in zip(*rows))
 

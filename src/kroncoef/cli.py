@@ -8,7 +8,7 @@ provenance.  table answers a (lambda, mu) block at a time with
 _compute_block, compute's dispatch with one oracle column per block; its
 JSON rows each time their own compute call.  verify certifies each family
 through the form compute uses: the pairs its row of CLOSED_FORMS selects,
-valued by _try_closed, against the oracle.
+valued by closed_forms._try_closed, against the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import click
 
-from . import lattice, schur_eval
+from . import closed_forms, lattice, schur_eval
 from .characters import SizeMismatch, kron_oracle, kron_oracle_column
 from .closed_forms import (
     AUTO,
@@ -33,7 +33,6 @@ from .closed_forms import (
     NoClosedFormApplicable,
     _compute_block,
     _shape_code,
-    _try_closed,
     compute,
     kron_hook_tworow,  # kron_hook_tworow and kron_two_hooks are not called here: the
     kron_two_hooks,  # benchmark's tracer binds them on cli (tests/test_bench_bindings.py)
@@ -174,15 +173,18 @@ def _sweep_chunk(family: str, n_max: int, first: int, step: int) -> SweepReport:
 
     The (mu, nu) pairs run outermost: kron_oracle_column answers one pair for
     every lambda of the share at once, and each closed form is then checked
-    against its column entry, so mismatches come in (mu, nu, lambda) order."""
+    against its column entry, so mismatches come in (mu, nu, lambda) order.
+    The closed forms are valued by closed_forms._try_closed, read once per
+    chunk from the module, as compute reaches it."""
     report = SweepReport(n=n_max, family=family)
     provenance = SWEEP_FAMILIES[family].provenance
+    try_closed = closed_forms._try_closed
     for n in range(1, n_max + 1):
         shapes = list(enumerate_partitions(n))
         lams = shapes[first::step]
         for mu, nu in _family_pairs(shapes, family):
             for lam, oracle in zip(lams, kron_oracle_column(mu, nu, lams)):
-                closed = _try_closed(provenance, lam, mu, nu)
+                closed = try_closed(provenance, lam, mu, nu)
                 report.triples_checked += 1
                 report.max_gamma = max(report.max_gamma, closed)
                 if closed != oracle:

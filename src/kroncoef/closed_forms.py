@@ -6,7 +6,10 @@ suite.  The sanctioned symmetry moves are: any permutation of (lambda, mu, nu),
 and conjugating any two of the three shapes simultaneously.  CLOSED_FORMS states
 once the shape classes each form needs; compute and the CLI's sweep read it.
 _compute_block answers a whole (lam, mu) block of the CLI's table with
-compute's dispatch and one oracle column.
+compute's dispatch and one oracle column.  compute and _compute_block share
+one closed step, _closed_answer, which applies the chosen symmetry variant
+and evaluates its form through _try_closed; the CLI's sweep evaluates the
+forms through _try_closed too, so every closed evaluation passes there.
 """
 
 from __future__ import annotations
@@ -330,6 +333,19 @@ def _try_closed(provenance: str, lam: Partition, mu: Partition, nu: Partition) -
     return kron_hook_tworow(lam, mu, nu)
 
 
+def _closed_answer(found: tuple[_Variant, str], lam: Partition, mu: Partition,
+                   nu: Partition) -> KroneckerResult:
+    """The answer of _candidate's (variant, provenance) for the triple: the
+    variant's three slots are filled from (lam, mu, nu, lam', mu', nu'),
+    building only the conjugates it uses, and evaluated by _try_closed; gamma
+    is checked to be nonnegative and the variant's moves are recorded."""
+    variant, provenance = found
+    shapes = (lam, mu, nu)
+    a, b, c = (shapes[s] if s < 3 else conjugate(shapes[s - 3]) for s in variant.sources)
+    gamma = _try_closed(provenance, a, b, c)
+    return KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, variant.moves)
+
+
 def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) -> KroneckerResult:
     """Kronecker coefficient of a triple, routed to the cheapest correct method.
 
@@ -337,7 +353,7 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     slot classes match a closed form, falling back to the character oracle
     when none does.  The classes of the six shapes (lam, mu, nu and their
     conjugates) are read once; their signature looks up that variant and
-    its closed form, and only the shapes it uses are conjugated.
+    its closed form, and _closed_answer applies it.
     closed: like auto but raise NoClosedFormApplicable instead of falling back.
     oracle: always evaluate the character sum.
 
@@ -347,21 +363,16 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     _check_sizes(lam, mu, nu)
-    found = None
     if method != ORACLE_ONLY:
         signature = _shape_code(lam.parts) | _shape_code(mu.parts) << 3 | _shape_code(nu.parts) << 6
         found = _candidate(signature)
-    if found is None:
+        if found is not None:
+            return _closed_answer(found, lam, mu, nu)
         if method == CLOSED_ONLY:
             raise NoClosedFormApplicable(f"no closed form matches any variant of ({lam}; {mu}; {nu})")
-        result = kron_oracle(lam, mu, nu)
-        _nonnegative(result.gamma, lam, mu, nu)
-        return result
-    variant, provenance = found
-    shapes = (lam, mu, nu)
-    a, b, c = (shapes[s] if s < 3 else conjugate(shapes[s - 3]) for s in variant.sources)
-    gamma = _try_closed(provenance, a, b, c)
-    return KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, variant.moves)
+    result = kron_oracle(lam, mu, nu)
+    _nonnegative(result.gamma, lam, mu, nu)
+    return result
 
 
 def _compute_block(lam: Partition, mu: Partition, nus: Sequence[Partition],
@@ -370,10 +381,11 @@ def _compute_block(lam: Partition, mu: Partition, nus: Sequence[Partition],
     _shape_code(nus[i].parts), formed once by a caller running many blocks.
 
     Each nu goes through compute's dispatch, with the signature head
-    code(lam) | code(mu) << 3 formed once for the block.  The rows no
-    closed form answers all come from one kron_oracle_column(lam, mu, nus),
-    since gamma(nu, lam, mu) = gamma(lam, mu, nu); it is built only when
-    the block has such a row.  Every gamma is checked to be nonnegative.
+    code(lam) | code(mu) << 3 formed once for the block, and a closed row is
+    answered by _closed_answer as in compute.  The rows no closed form
+    answers all come from one kron_oracle_column(lam, mu, nus), since
+    gamma(nu, lam, mu) = gamma(lam, mu, nu); it is built only when the block
+    has such a row.  Every gamma is checked to be nonnegative.
     """
     head = _shape_code(lam.parts) | _shape_code(mu.parts) << 3
     column = None
@@ -381,14 +393,10 @@ def _compute_block(lam: Partition, mu: Partition, nus: Sequence[Partition],
     for i, (nu, code) in enumerate(zip(nus, nu_codes)):
         _check_sizes(lam, mu, nu)
         found = _candidate(head | code << 6)
-        if found is None:
+        if found is not None:
+            results.append(_closed_answer(found, lam, mu, nu))
+        else:
             if column is None:
                 column = kron_oracle_column(lam, mu, nus)
             results.append(KroneckerResult(_nonnegative(column[i], lam, mu, nu), ORACLE))
-            continue
-        variant, provenance = found
-        shapes = (lam, mu, nu)
-        a, b, c = (shapes[s] if s < 3 else conjugate(shapes[s - 3]) for s in variant.sources)
-        gamma = _try_closed(provenance, a, b, c)
-        results.append(KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, variant.moves))
     return results

@@ -232,12 +232,12 @@ def rhs_hook_difference_four_term(
     return (-1) ** (d - 1) * bracket / ((u1 - u2) * (v1 - v2))
 
 
-def sample_fractions(rng: random.Random, count: int, bound: int = 13) -> list[Fraction]:
+def sample_fractions(rng: random.Random, count: int) -> list[Fraction]:
     """Deterministic pseudo-random positive rationals with numerator and
-    denominator at most ``bound``, pairwise distinct."""
+    denominator at most 13, pairwise distinct."""
     values: list[Fraction] = []
     while len(values) < count:
-        candidate = Fraction(rng.randint(1, bound), rng.randint(1, bound))
+        candidate = Fraction(rng.randint(1, 13), rng.randint(1, 13))
         if candidate not in values:
             values.append(candidate)
     return values

@@ -455,12 +455,18 @@ def test_pack_round_trips_signed_fields_at_the_width_limit():
 
 
 def test_packed_field_width_bound():
-    # the width covers n! * sum of (isqrt(z_rho) + 1), because no character
-    # value exceeds sqrt(z_rho) in absolute value (column orthogonality)
-    assert [characters._packed_columns(((n,),), n)[0] for n in (10, 14, 20)] == [36, 57, 94]
+    # the width covers n! * (isqrt(n!) + 1) with a sign bit to spare, because
+    # 0 <= gamma <= f^lam <= isqrt(n!); it depends on n alone
+    assert [characters._packed_columns(((n,),), n)[0] for n in (10, 14, 20)] == [35, 57, 94]
+    for n in range(1, 25):
+        nf = math.factorial(n)
+        k = characters._packed_columns(((n,),), n)[0]
+        assert nf * (math.isqrt(nf) + 1) < 2 ** (k - 1), n
     for n in range(13):
         nf = math.factorial(n)
-        rows = [_char_row(lam.parts, n) for lam in enumerate_partitions(n)]
+        shapes = list(enumerate_partitions(n))
+        assert max(dimension(lam) for lam in shapes) <= math.isqrt(nf), n
+        rows = [_char_row(lam.parts, n) for lam in shapes]
         for j, (_, _, size) in enumerate(_classes(n)):
             z = nf // size
             assert sum(row[j] ** 2 for row in rows) == z

@@ -257,6 +257,34 @@ class TestVerifyCommand:
             assert parallel == serial, family
             assert serial["mismatches"] == [] and serial["triples_checked"] > 0
 
+    def test_every_closed_evaluation_goes_through_try_closed(self, monkeypatch):
+        # the sweep, compute and a table block all evaluate the closed forms
+        # through closed_forms._try_closed, so wrapping it counts every one
+        real = closed_forms._try_closed
+        calls = []
+
+        def counting(provenance, lam, mu, nu):
+            calls.append(provenance)
+            return real(provenance, lam, mu, nu)
+
+        monkeypatch.setattr(closed_forms, "_try_closed", counting)
+        for family in cli.SWEEP_FAMILIES:
+            calls.clear()
+            report = run_sweep(family, 6, jobs=1)
+            assert len(calls) == report.triples_checked > 0, family
+        calls.clear()
+        compute(Partition((4, 3, 1)), Partition((6, 2)), Partition((5, 3)))
+        assert calls == ["TwoRowTwoRow"]
+        calls.clear()
+        assert compute(*[Partition((3, 2, 1))] * 3).provenance == "Oracle"
+        assert calls == []
+        lam = mu = Partition((3, 2, 1))
+        nus = list(enumerate_partitions(6))
+        results = closed_forms._compute_block(
+            lam, mu, nus, [closed_forms._shape_code(nu.parts) for nu in nus])
+        closed = [r.provenance for r in results if r.provenance != "Oracle"]
+        assert calls == closed and 0 < len(closed) < len(nus)
+
     @pytest.mark.parametrize("family, triples, max_gamma", [
         ("two-row", 545, 2), ("hook-hook", 637, 2), ("hook-two-row", 575, 2),
     ])
