@@ -5,7 +5,11 @@ and the CLI's table of every triple of one n.
 
     PYTHONPATH=src python scripts/bench_characters.py [--out BENCH_characters.json]
 
-For each n it records the median over REPS repetitions of
+Every timed figure is recorded as a median under its own key and, beside
+it under the same key with ``_quartiles`` appended, the lower and upper
+quartiles [q1, q3] of the same times (inclusive method: of REPS = 5
+repetitions, the second and fourth fastest), so that a difference between
+two files can be set against the spread within one.  For each n it records
 
 * ``classes_cold_ms``: ``_classes(n)`` right after ``clear_cache()``;
 * ``char_row_cold_ms``: ``_char_row(lam, n)`` for the first shape ``lam``
@@ -15,20 +19,21 @@ For each n it records the median over REPS repetitions of
   ``clear_cache()``: the class table, three cold rows and the class sum,
   the layer the ``oracle-cold`` benchmark workload times;
 
-and the number of ``_strip_cache`` entries that one cold row leaves behind.
-Under ``sweep_inprocess_ms`` it records, for each sweep family and n_max in
-SWEEP_N_MAX, the median over REPS of ``run_sweep(family, n_max, jobs=1)``
-right after ``clear_cache()``: the whole sweep in this process, oracle and
-closed forms together.  Under ``table_cold_ms`` it records, for each n in
-TABLE_N, the median over REPS of ``table --n N --family all --format csv``
-through ``cli.main`` with standard output sent to a null sink, right after
-``clear_cache()``: the whole table of one n.  Under ``compute_warm_us`` it
-records, for each provenance, the median wall time of one ``compute`` call
-over REPS timed passes through COMPUTE_SAMPLE triples of n = COMPUTE_N drawn
-with the fixed seed COMPUTE_SEED, after ``clear_cache()`` and one untimed
-pass: every character row and closed-form lookup is warm, while the
-oracle's one-entry pair-weight cache still misses whenever the pair
-changes, as it does for a random query.  Only ``clear_cache``,
+each over REPS repetitions, and the number of ``_strip_cache`` entries that
+one cold row leaves behind.  Under ``sweep_inprocess_ms`` it records, for
+each sweep family and n_max in SWEEP_N_MAX, REPS runs of
+``run_sweep(family, n_max, jobs=1)`` right after ``clear_cache()``: the
+whole sweep in this process, oracle and closed forms together.  Under
+``table_cold_ms`` it records, for each n in TABLE_N, REPS runs of
+``table --n N --family all --format csv`` through ``cli.main`` with
+standard output sent to a null sink, right after ``clear_cache()``: the
+whole table of one n.  Under ``compute_warm_us`` it records, for each
+provenance, the wall time of one ``compute`` call over every call of REPS
+timed passes through COMPUTE_SAMPLE triples of n = COMPUTE_N drawn with
+the fixed seed COMPUTE_SEED, after ``clear_cache()`` and one untimed pass:
+every character row and closed-form lookup is warm, while the oracle's
+one-entry pair-weight cache still misses whenever the pair changes, as it
+does for a random query.  Only ``clear_cache``,
 ``_classes``, ``_char_row``, ``_strip_cache``, ``kron_oracle``,
 ``compute``, ``enumerate_partitions``, ``run_sweep``, ``SWEEP_FAMILIES``
 and ``cli.main`` are used, so the script runs unchanged against earlier
@@ -68,17 +73,25 @@ TRIPLES = {
 }
 
 
-def cold_classes_ms(n: int) -> float:
+def summary(key: str, seconds: list[float], scale: float) -> dict:
+    """The median of the times under key and their quartiles [q1, q3] under
+    key + "_quartiles", each multiplied by scale and rounded to 3 places."""
+    q1, median, q3 = (round(t * scale, 3)
+                      for t in statistics.quantiles(seconds, n=4, method="inclusive"))
+    return {key: median, f"{key}_quartiles": [q1, q3]}
+
+
+def cold_classes_s(n: int) -> list[float]:
     times = []
     for _ in range(REPS):
         characters.clear_cache()
         start = time.perf_counter()
         characters._classes(n)
         times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
+    return times
 
 
-def cold_char_row_ms(lam: tuple[int, ...], n: int) -> tuple[float, int]:
+def cold_char_row_s(lam: tuple[int, ...], n: int) -> tuple[list[float], int]:
     times = []
     for _ in range(REPS):
         characters.clear_cache()
@@ -86,10 +99,10 @@ def cold_char_row_ms(lam: tuple[int, ...], n: int) -> tuple[float, int]:
         start = time.perf_counter()
         characters._char_row(lam, n)
         times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3, len(characters._strip_cache)
+    return times, len(characters._strip_cache)
 
 
-def cold_oracle_ms(triple: tuple[tuple[int, ...], ...]) -> float:
+def cold_oracle_s(triple: tuple[tuple[int, ...], ...]) -> list[float]:
     shapes = [make_partition(parts) for parts in triple]
     times = []
     for _ in range(REPS):
@@ -97,20 +110,20 @@ def cold_oracle_ms(triple: tuple[tuple[int, ...], ...]) -> float:
         start = time.perf_counter()
         characters.kron_oracle(*shapes)
         times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
+    return times
 
 
-def sweep_inprocess_ms(family: str, n_max: int) -> tuple[float, int]:
+def sweep_inprocess_s(family: str, n_max: int) -> tuple[list[float], int]:
     times = []
     for _ in range(REPS):
         characters.clear_cache()
         start = time.perf_counter()
         report = run_sweep(family, n_max, jobs=1)
         times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3, report.triples_checked
+    return times, report.triples_checked
 
 
-def table_cold_ms(n: int) -> float:
+def table_cold_s(n: int) -> list[float]:
     argv = ["table", "--n", str(n), "--family", "all", "--format", "csv"]
     times = []
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -119,7 +132,7 @@ def table_cold_ms(n: int) -> float:
             start = time.perf_counter()
             cli.main(argv, standalone_mode=False)
             times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
+    return times
 
 
 def compute_warm_us() -> list[dict]:
@@ -135,7 +148,7 @@ def compute_warm_us() -> list[dict]:
             compute(*triple)
             times[name].append(time.perf_counter() - start)
     return [{"provenance": name, "triples": provenances.count(name),
-             "us": round(statistics.median(times[name]) * 1e6, 3)}
+             **summary("us", times[name], 1e6)}
             for name in PROVENANCES]
 
 
@@ -146,28 +159,29 @@ def main() -> None:
     rows = []
     for n, triple in TRIPLES.items():
         lam = triple[0]
-        row_ms, entries = cold_char_row_ms(lam, n)
+        row_s, entries = cold_char_row_s(lam, n)
         rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],
-                     "classes_cold_ms": round(cold_classes_ms(n), 3),
-                     "char_row_cold_ms": round(row_ms, 3), "strip_cache_entries": entries,
-                     "oracle_cold_ms": round(cold_oracle_ms(triple), 3)})
+                     **summary("classes_cold_ms", cold_classes_s(n), 1e3),
+                     **summary("char_row_cold_ms", row_s, 1e3), "strip_cache_entries": entries,
+                     **summary("oracle_cold_ms", cold_oracle_s(triple), 1e3)})
         print(json.dumps(rows[-1]))
     sweeps = []
     for family in SWEEP_FAMILIES:
         for n_max in SWEEP_N_MAX:
-            ms, triples = sweep_inprocess_ms(family, n_max)
+            sweep_s, triples = sweep_inprocess_s(family, n_max)
             sweeps.append({"family": family, "n_max": n_max, "triples": triples,
-                           "ms": round(ms, 3)})
+                           **summary("ms", sweep_s, 1e3)})
             print(json.dumps(sweeps[-1]))
     tables = []
     for n in TABLE_N:
-        tables.append({"n": n, "ms": round(table_cold_ms(n), 3)})
+        tables.append({"n": n, **summary("ms", table_cold_s(n), 1e3)})
         print(json.dumps(tables[-1]))
     computes = {"n": COMPUTE_N, "triples": COMPUTE_SAMPLE, "seed": COMPUTE_SEED,
                 "by_provenance": compute_warm_us()}
     print(json.dumps(computes))
     report = {"topic": "characters", "cache": "cold: clear_cache() before every repetition",
-              "statistic": "median", "repetitions": REPS,
+              "statistic": "median, with quartiles [q1, q3] under each *_quartiles key",
+              "repetitions": REPS,
               "python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": rows,
               "sweep_inprocess_ms": sweeps, "table_cold_ms": tables,
               "compute_warm_us": computes}

@@ -6,9 +6,11 @@ mode), 2 parse error, 3 size mismatch.  Machine-readable formats emit one JSON
 object per line or CSV with the fixed column order lambda, mu, nu, gamma,
 provenance.  table answers a (lambda, mu) block at a time with
 _compute_block, compute's dispatch with one oracle column per block; its
-JSON rows each time their own compute call.  verify certifies each family
-through the form compute uses: the pairs its row of CLOSED_FORMS selects,
-valued by closed_forms._try_closed, against the oracle.
+JSON rows each time their own compute call.  The family filters read each
+shape's classes from Partition.shape_code, as compute does.  verify
+certifies each family through the form compute uses: the pairs its row of
+CLOSED_FORMS selects, valued by closed_forms._try_closed, against the
+oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .closed_forms import (
     METHODS,
     NoClosedFormApplicable,
     _compute_block,
-    _shape_code,
     compute,
     kron_hook_tworow,  # kron_hook_tworow and kron_two_hooks are not called here: the
     kron_two_hooks,  # benchmark's tracer binds them on cli (tests/test_bench_bindings.py)
@@ -133,13 +134,13 @@ def cmd_compute(lam, mu, nu, method, fmt):
 
 def _family_sides(shapes, family):
     """The mus and the nus of a family, in enumeration order: the shapes
-    whose class bits hold those its closed form needs of mu and of nu; "all"
-    takes every shape on both sides."""
+    whose shape_code holds the class bits its closed form needs of mu and of
+    nu; "all" takes every shape on both sides."""
     if family == "all":
         return shapes, shapes
     form = SWEEP_FAMILIES[family]
-    mus = [p for p in shapes if _shape_code(p.parts) & form.mu == form.mu]
-    nus = [p for p in shapes if _shape_code(p.parts) & form.nu == form.nu]
+    mus = [p for p in shapes if p.shape_code & form.mu == form.mu]
+    nus = [p for p in shapes if p.shape_code & form.nu == form.nu]
     return mus, nus
 
 
@@ -236,10 +237,9 @@ def cmd_table(n, family, fmt):
                     result, elapsed_us = _timed_compute(lam, mu, nu, AUTO)
                     click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
         return
-    # labels and nu class codes are formed once per table; rows stream out
-    # a (lam, mu) block at a time, one write each
-    nu_codes = [_shape_code(nu.parts) for nu in nus]
-    blocks = ((lam, mu, _compute_block(lam, mu, nus, nu_codes)) for lam in shapes for mu in mus)
+    # labels are formed once per table; rows stream out a (lam, mu) block at
+    # a time, one write each
+    blocks = ((lam, mu, _compute_block(lam, mu, nus)) for lam in shapes for mu in mus)
     labels = {p: str(p) for p in shapes}
     if fmt == "csv":
         writer = _csv_writer()

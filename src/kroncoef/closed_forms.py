@@ -5,6 +5,9 @@ Every formula is exact and certified against the character oracle by the test
 suite.  The sanctioned symmetry moves are: any permutation of (lambda, mu, nu),
 and conjugating any two of the three shapes simultaneously.  CLOSED_FORMS states
 once the shape classes each form needs; compute and the CLI's sweep read it.
+The classes of a shape and of its conjugate are not read here: each
+Partition carries them in its shape_code, set once by its constructor
+(partitions._shape_code states the bit layout).
 _compute_block answers a whole (lam, mu) block of the CLI's table with
 compute's dispatch and one oracle column.  compute and _compute_block share
 one closed step, _closed_answer, which applies the chosen symmetry variant
@@ -31,6 +34,9 @@ from .characters import (
 )
 from .lattice import gamma_region_closed
 from .partitions import (
+    _HOOK,
+    _ONE_ROW,
+    _TWO_ROW,
     Partition,
     conjugate,
     double_hook_parts,
@@ -253,43 +259,10 @@ def _build_variants() -> tuple[_Variant, ...]:
 
 _VARIANTS = _build_variants()
 
-# Shape class bits, the classes the closed forms need: at most one row
-# (len <= 1), at most two parts (two_row_parts not None) and a genuine hook
-# (hook_parts not None).  A shape's code carries its own classes in bits 0-2
-# and its conjugate's in bits 9-11, so the signature code(lam) |
-# code(mu) << 3 | code(nu) << 6 holds the classes of source s of
-# (lam, mu, nu, lam', mu', nu') in bits 3s to 3s+2.
-_ONE_ROW = 1
-_TWO_ROW = 2
-_HOOK = 4
-_CONJ_SHIFT = 9
-
-
-def _shape_code(parts: tuple[int, ...]) -> int:
-    """Class bits of a shape and of its conjugate, read from the parts alone:
-    the conjugate has one row iff lam1 = 1, at most two rows iff lam1 <= 2,
-    and is a hook iff the shape is.  The empty shape and its conjugate read
-    as one-row and nothing else."""
-    if not parts:
-        return _ONE_ROW | _ONE_ROW << _CONJ_SHIFT
-    first = parts[0]
-    length = len(parts)
-    code = 0
-    if length == 1:
-        code |= _ONE_ROW
-    if length <= 2:
-        code |= _TWO_ROW
-    if length >= 2 and first >= 2 and parts[1] == 1:  # parts decrease: all the rest are 1
-        code |= _HOOK | _HOOK << _CONJ_SHIFT
-    if first == 1:
-        code |= _ONE_ROW << _CONJ_SHIFT
-    if first <= 2:
-        code |= _TWO_ROW << _CONJ_SHIFT
-    return code
-
 
 class ClosedForm(NamedTuple):
-    """A closed form's provenance and the class bits it needs of each slot."""
+    """A closed form's provenance and the class bits it needs of each slot,
+    in the layout of partitions._shape_code."""
 
     provenance: str
     lam: int
@@ -352,8 +325,9 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     auto: use the first symmetry variant, in the documented order, whose
     slot classes match a closed form, falling back to the character oracle
     when none does.  The classes of the six shapes (lam, mu, nu and their
-    conjugates) are read once; their signature looks up that variant and
-    its closed form, and _closed_answer applies it.
+    conjugates) are read from the three shapes' shape_code attributes, which
+    their constructors set; their signature looks up that variant and its
+    closed form, and _closed_answer applies it.
     closed: like auto but raise NoClosedFormApplicable instead of falling back.
     oracle: always evaluate the character sum.
 
@@ -364,7 +338,7 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     _check_sizes(lam, mu, nu)
     if method != ORACLE_ONLY:
-        signature = _shape_code(lam.parts) | _shape_code(mu.parts) << 3 | _shape_code(nu.parts) << 6
+        signature = lam.shape_code | mu.shape_code << 3 | nu.shape_code << 6
         found = _candidate(signature)
         if found is not None:
             return _closed_answer(found, lam, mu, nu)
@@ -375,24 +349,24 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     return result
 
 
-def _compute_block(lam: Partition, mu: Partition, nus: Sequence[Partition],
-                   nu_codes: Sequence[int]) -> list[KroneckerResult]:
-    """compute(lam, mu, nu) for every nu of nus, in order; nu_codes[i] is
-    _shape_code(nus[i].parts), formed once by a caller running many blocks.
+def _compute_block(lam: Partition, mu: Partition,
+                   nus: Sequence[Partition]) -> list[KroneckerResult]:
+    """compute(lam, mu, nu) for every nu of nus, in order.
 
     Each nu goes through compute's dispatch, with the signature head
-    code(lam) | code(mu) << 3 formed once for the block, and a closed row is
-    answered by _closed_answer as in compute.  The rows no closed form
-    answers all come from one kron_oracle_column(lam, mu, nus), since
-    gamma(nu, lam, mu) = gamma(lam, mu, nu); it is built only when the block
-    has such a row.  Every gamma is checked to be nonnegative.
+    lam.shape_code | mu.shape_code << 3 formed once for the block and each
+    nu's shape_code << 6 joined to it, and a closed row is answered by
+    _closed_answer as in compute.  The rows no closed form answers all come
+    from one kron_oracle_column(lam, mu, nus), since gamma(nu, lam, mu) =
+    gamma(lam, mu, nu); it is built only when the block has such a row.
+    Every gamma is checked to be nonnegative.
     """
-    head = _shape_code(lam.parts) | _shape_code(mu.parts) << 3
+    head = lam.shape_code | mu.shape_code << 3
     column = None
     results = []
-    for i, (nu, code) in enumerate(zip(nus, nu_codes)):
+    for i, nu in enumerate(nus):
         _check_sizes(lam, mu, nu)
-        found = _candidate(head | code << 6)
+        found = _candidate(head | nu.shape_code << 6)
         if found is not None:
             results.append(_closed_answer(found, lam, mu, nu))
         else:

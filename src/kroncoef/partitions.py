@@ -1,11 +1,12 @@
 """Integer partitions and the structural readers (two-row, hook, double hook)
-that the closed formulas consume."""
+that the closed formulas consume.  Each Partition carries the class code of
+its shape and its conjugate, read once by its constructor."""
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class NegativePart(ValueError):
@@ -20,12 +21,16 @@ class Partition:
     equals ``Partition([4, 3, 1])``.  Parts are read with ``operator.index``, so
     a float or a string raises ``TypeError`` rather than being truncated or
     parsed.  Instances are immutable by convention and hashable; every
-    operation in this package treats them as values.  Mutating ``parts`` is
-    unsupported: besides the hash, it would leave the conjugate that
-    ``conjugate`` memoizes on the instance stale.
+    operation in this package treats them as values.
+
+    ``shape_code`` holds the class bits of the shape and of its conjugate
+    (see ``_shape_code``), set once by the constructor; the closed-form
+    dispatch and the CLI's family filters read them from this attribute.  Mutating ``parts`` is unsupported: besides the
+    hash, it would leave ``shape_code`` and the conjugate that ``conjugate``
+    memoizes on the instance stale.
     """
 
-    __slots__ = ("parts", "n", "_conjugate")
+    __slots__ = ("parts", "n", "shape_code", "_conjugate")
 
     def __init__(self, raw: Iterable[int] = ()):
         parts = sorted(map(operator.index, raw), reverse=True)
@@ -35,6 +40,7 @@ class Partition:
             parts.pop()
         self.parts: tuple[int, ...] = tuple(parts)
         self.n: int = sum(parts)
+        self.shape_code: int = _shape_code(parts)
         self._conjugate: Partition | None = None
 
     def __len__(self) -> int:
@@ -117,6 +123,41 @@ def hook_parts(lam: Partition) -> tuple[int, int] | None:
     if len(p) < 2 or p[0] < 2 or p[1] != 1:  # parts decrease: all after p[1] are 1 too
         return None
     return len(p) - 1, p[0]
+
+
+# Shape class bits, the classes the closed forms need: at most one row
+# (len <= 1), at most two parts (two_row_parts not None) and a genuine hook
+# (hook_parts not None).  A shape's code carries its own classes in bits 0-2
+# and its conjugate's in bits 9-11, so the signature code(lam) |
+# code(mu) << 3 | code(nu) << 6 of a triple holds the classes of source s of
+# (lam, mu, nu, lam', mu', nu') in bits 3s to 3s+2.
+_ONE_ROW = 1
+_TWO_ROW = 2
+_HOOK = 4
+_CONJ_SHIFT = 9
+
+
+def _shape_code(parts: Sequence[int]) -> int:
+    """Class bits of a shape and of its conjugate, read from its decreasing
+    positive parts alone: the conjugate has one row iff lam1 = 1, at most
+    two rows iff lam1 <= 2, and is a hook iff the shape is.  The empty shape
+    and its conjugate read as one-row and nothing else."""
+    if not parts:
+        return _ONE_ROW | _ONE_ROW << _CONJ_SHIFT
+    first = parts[0]
+    length = len(parts)
+    code = 0
+    if length == 1:
+        code |= _ONE_ROW
+    if length <= 2:
+        code |= _TWO_ROW
+    if length >= 2 and first >= 2 and parts[1] == 1:  # parts decrease: all the rest are 1
+        code |= _HOOK | _HOOK << _CONJ_SHIFT
+    if first == 1:
+        code |= _ONE_ROW << _CONJ_SHIFT
+    if first <= 2:
+        code |= _TWO_ROW << _CONJ_SHIFT
+    return code
 
 
 def double_hook_parts(lam: Partition) -> tuple[int, int, int, int] | None:

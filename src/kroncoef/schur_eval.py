@@ -157,7 +157,12 @@ def verify_comultiplication(
     gamma_source: str = "oracle",
 ) -> bool:
     """Exact check of the product-alphabet expansion
-    s_lam[XY] = sum over mu, nu of gamma^lam_{mu,nu} s_mu[X] s_nu[Y]."""
+    s_lam[XY] = sum over mu, nu of gamma^lam_{mu,nu} s_mu[X] s_nu[Y].
+
+    gamma_source picks the gamma it certifies: "oracle" (kron_oracle) or
+    "auto" (compute); any other value raises ValueError."""
+    if gamma_source not in ("oracle", AUTO):
+        raise ValueError(f"gamma_source must be 'oracle' or 'auto', got {gamma_source!r}")
     n = lam.n
     lhs = schur_eval_characters(lam, alphabet_product(x_alpha, y_alpha))
     shapes = list(enumerate_partitions(n))
@@ -232,9 +237,17 @@ def rhs_hook_difference_four_term(
     return (-1) ** (d - 1) * bracket / ((u1 - u2) * (v1 - v2))
 
 
+# The number of distinct values p/q with 1 <= p, q <= 13.
+_FRACTION_POOL = 115
+
+
 def sample_fractions(rng: random.Random, count: int) -> list[Fraction]:
     """Deterministic pseudo-random positive rationals with numerator and
-    denominator at most 13, pairwise distinct."""
+    denominator at most 13, pairwise distinct.  A count above the 115 such
+    values could never be met and raises ValueError."""
+    if count > _FRACTION_POOL:
+        raise ValueError(f"count {count} exceeds the {_FRACTION_POOL} distinct fractions "
+                         "p/q with 1 <= p, q <= 13")
     values: list[Fraction] = []
     while len(values) < count:
         candidate = Fraction(rng.randint(1, 13), rng.randint(1, 13))

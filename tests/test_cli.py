@@ -176,11 +176,10 @@ class TestTableCommand:
             shapes = list(enumerate_partitions(n))
             for family in cli.FAMILIES:
                 mus, nus = cli._family_sides(shapes, family)
-                codes = [closed_forms._shape_code(nu.parts) for nu in nus]
                 want = [([*lam.parts], [*mu.parts], [*nu.parts], str(r.gamma), r.provenance,
                          [*r.moves])
                         for lam in shapes for mu in mus
-                        for nu, r in zip(nus, closed_forms._compute_block(lam, mu, nus, codes))]
+                        for nu, r in zip(nus, closed_forms._compute_block(lam, mu, nus))]
                 got = invoke("table", "--n", str(n), "--family", family, "--format", "json")
                 records = [json.loads(line) for line in got.output.splitlines()]
                 keys = ("lambda", "mu", "nu", "gamma", "provenance", "moves")
@@ -280,8 +279,7 @@ class TestVerifyCommand:
         assert calls == []
         lam = mu = Partition((3, 2, 1))
         nus = list(enumerate_partitions(6))
-        results = closed_forms._compute_block(
-            lam, mu, nus, [closed_forms._shape_code(nu.parts) for nu in nus])
+        results = closed_forms._compute_block(lam, mu, nus)
         closed = [r.provenance for r in results if r.provenance != "Oracle"]
         assert calls == closed and 0 < len(closed) < len(nus)
 

@@ -24,7 +24,6 @@ from kroncoef.characters import (
 from kroncoef.closed_forms import (
     _CONJ_PATTERNS,
     _PERMUTATIONS,
-    _shape_code,
     kron_hook_tworow,
     kron_two_hooks,
     kron_two_tworow,
@@ -94,7 +93,7 @@ def test_shape_code_matches_the_readers():
     # the reference matcher's class tests: len <= 1, two_row_parts and hook_parts
     for n in range(13):
         for lam in enumerate_partitions(n):
-            code = _shape_code(lam.parts)
+            code = lam.shape_code
             for shape, bits in ((lam, code & 7), (conjugate(lam), code >> 9)):
                 expected = ((len(shape) <= 1)
                             | (two_row_parts(shape) is not None) << 1

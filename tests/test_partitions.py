@@ -223,6 +223,24 @@ class TestClassify:
         assert two_row_parts(make_partition([3, 2, 1])) is None
         assert double_hook_parts(make_partition([3, 1, 1])) is None  # (2,2) missing
 
+    def test_shape_code_halves_swap_under_conjugation(self):
+        # own classes in bits 0-2, the conjugate's in bits 9-11
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                code = lam.shape_code
+                swapped = (code & 7) << 9 | code >> 9
+                assert conjugate(lam).shape_code == swapped, lam
+
+    def test_shape_code_ignores_order_and_zeros(self):
+        assert Partition([1, 3, 0, 4]).shape_code == Partition([4, 3, 1]).shape_code
+        assert Partition([0, 0]).shape_code == Partition().shape_code
+        rng = random.Random(18)
+        for n in range(1, 13):
+            for lam in enumerate_partitions(n):
+                raw = list(lam.parts) + [0] * rng.randint(0, 3)
+                rng.shuffle(raw)
+                assert Partition(raw).shape_code == lam.shape_code, raw
+
 
 class TestZ:
     @pytest.mark.parametrize(

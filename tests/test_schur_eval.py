@@ -168,6 +168,19 @@ class TestSchurEvaluators:
                 assert scaled == c**n * plain
 
 
+class TestSampleFractions:
+    def test_the_whole_pool_is_drawn(self):
+        pool = {F(p, q) for p in range(1, 14) for q in range(1, 14)}
+        assert len(pool) == 115
+        values = sample_fractions(random.Random(1), 115)
+        assert set(values) == pool
+
+    def test_a_count_past_the_pool_is_refused(self):
+        # there are only 115 distinct p/q with 1 <= p, q <= 13
+        with pytest.raises(ValueError, match="115"):
+            sample_fractions(random.Random(1), 116)
+
+
 class TestComultiplication:
     def test_tiny_hand_checkable(self):
         assert verify_comultiplication(make_partition([2]), positive(1, 2), positive(1, 3))
@@ -186,6 +199,11 @@ class TestComultiplication:
         y = SignedAlphabet.positive(sample_fractions(rng, 3))
         for lam in enumerate_partitions(4):
             assert verify_comultiplication(lam, x, y, gamma_source="auto")
+
+    def test_unknown_gamma_source_is_refused(self):
+        with pytest.raises(ValueError, match="orcale"):
+            verify_comultiplication(make_partition([2]), positive(1, 2), positive(1, 3),
+                                    gamma_source="orcale")
 
     def test_perturbed_gamma_is_detected(self):
         # the identity must fail if any single coefficient is off by one
