@@ -8,36 +8,47 @@ and the CLI's table of every triple of one n.
 Every timed figure is recorded as a median under its own key and, beside
 it under the same key with ``_quartiles`` appended, the lower and upper
 quartiles [q1, q3] of the same times (inclusive method: of REPS = 5
-repetitions, the second and fourth fastest), so that a difference between
-two files can be set against the spread within one.  For each n it records
+repetitions, the second and fourth fastest).  Every cold figure is taken
+by ``cold_s``: each repetition calls ``clear_cache()``, runs the figure's
+untimed setup, if it has one, and then times the figure's work alone.
+For each n it records
 
-* ``classes_cold_ms``: ``_classes(n)`` right after ``clear_cache()``;
+* ``classes_cold_ms``: ``_classes(n)``;
 * ``char_row_cold_ms``: ``_char_row(lam, n)`` for the first shape ``lam``
-  of the fixed general triple of TRIPLES, right after ``clear_cache()`` and
-  an untimed ``_classes(n)``, so the class table is not part of this time;
-* ``oracle_cold_ms``: ``kron_oracle`` on the whole triple right after
-  ``clear_cache()``: the class table, three cold rows and the class sum,
-  the layer the ``oracle-cold`` benchmark workload times;
+  of the fixed general triple of TRIPLES, with ``_classes(n)`` as the
+  untimed setup, so the class table is not part of this time;
+* ``oracle_cold_ms``: ``kron_oracle`` on the whole triple: the class
+  table, three cold rows and the class sum, the layer the ``oracle-cold``
+  benchmark workload times;
 
-each over REPS repetitions, and the number of ``_strip_cache`` entries that
-one cold row leaves behind.  Under ``sweep_inprocess_ms`` it records, for
-each sweep family and n_max in SWEEP_N_MAX, REPS runs of
-``run_sweep(family, n_max, jobs=1)`` right after ``clear_cache()``: the
-whole sweep in this process, oracle and closed forms together.  Under
-``table_cold_ms`` it records, for each n in TABLE_N, REPS runs of
+and the number of ``_strip_cache`` entries that one cold row leaves
+behind.  Under ``sweep_inprocess_ms`` it records, for each sweep family
+and n_max in SWEEP_N_MAX, ``run_sweep(family, n_max, jobs=1)``: the whole
+sweep in this process, oracle and closed forms together.  Under
+``table_cold_ms`` it records, for each n in TABLE_N,
 ``table --n N --family all --format csv`` through ``cli.main`` with
-standard output sent to a null sink, right after ``clear_cache()``: the
-whole table of one n.  Under ``compute_warm_us`` it records, for each
-provenance, the wall time of one ``compute`` call over every call of REPS
-timed passes through COMPUTE_SAMPLE triples of n = COMPUTE_N drawn with
-the fixed seed COMPUTE_SEED, after ``clear_cache()`` and one untimed pass:
-every character row and closed-form lookup is warm, while the oracle's
+standard output sent to a null sink: the whole table of one n.
+
+Under ``compute_warm_us`` it records, for each provenance, the wall time
+of one ``compute`` call over every call of REPS timed passes through
+COMPUTE_SAMPLE triples of n = COMPUTE_N drawn with the fixed seed
+COMPUTE_SEED, after ``clear_cache()`` and one untimed pass: every
+character row and closed-form lookup is warm, while the oracle's
 one-entry pair-weight cache still misses whenever the pair changes, as it
-does for a random query.  Only ``clear_cache``,
-``_classes``, ``_char_row``, ``_strip_cache``, ``kron_oracle``,
-``compute``, ``enumerate_partitions``, ``run_sweep``, ``SWEEP_FAMILIES``
-and ``cli.main`` are used, so the script runs unchanged against earlier
+does for a random query.  Only ``clear_cache``, ``_classes``,
+``_char_row``, ``_strip_cache``, ``kron_oracle``, ``compute``,
+``enumerate_partitions``, ``run_sweep``, ``SWEEP_FAMILIES`` and
+``cli.main`` are used, so the script runs unchanged against earlier
 versions of the package.
+
+To cite a before/after, do not set one file's median against another's
+quartiles: on a shared 2-CPU host two whole runs of the same code drift
+further apart than one run's quartiles (``oracle_cold_ms`` at n = 16 read
+4.88 ms in one run and 4.26 ms in the next).  Alternate whole runs on the
+parent and on the change, at least five of each, alternating which side
+runs first, as the benchmark's pairs are run; then compare, figure by
+figure, the median of the parent's run medians with the median of the
+change's, and quote the range of each side's run medians beside them.
 """
 
 from __future__ import annotations
@@ -81,58 +92,18 @@ def summary(key: str, seconds: list[float], scale: float) -> dict:
     return {key: median, f"{key}_quartiles": [q1, q3]}
 
 
-def cold_classes_s(n: int) -> list[float]:
+def cold_s(work, setup=None) -> tuple[list[float], object]:
+    """REPS times of work(), each right after clear_cache() and an untimed
+    setup() when one is given, and the result of the last work()."""
     times = []
     for _ in range(REPS):
         characters.clear_cache()
+        if setup is not None:
+            setup()
         start = time.perf_counter()
-        characters._classes(n)
+        result = work()
         times.append(time.perf_counter() - start)
-    return times
-
-
-def cold_char_row_s(lam: tuple[int, ...], n: int) -> tuple[list[float], int]:
-    times = []
-    for _ in range(REPS):
-        characters.clear_cache()
-        characters._classes(n)
-        start = time.perf_counter()
-        characters._char_row(lam, n)
-        times.append(time.perf_counter() - start)
-    return times, len(characters._strip_cache)
-
-
-def cold_oracle_s(triple: tuple[tuple[int, ...], ...]) -> list[float]:
-    shapes = [make_partition(parts) for parts in triple]
-    times = []
-    for _ in range(REPS):
-        characters.clear_cache()
-        start = time.perf_counter()
-        characters.kron_oracle(*shapes)
-        times.append(time.perf_counter() - start)
-    return times
-
-
-def sweep_inprocess_s(family: str, n_max: int) -> tuple[list[float], int]:
-    times = []
-    for _ in range(REPS):
-        characters.clear_cache()
-        start = time.perf_counter()
-        report = run_sweep(family, n_max, jobs=1)
-        times.append(time.perf_counter() - start)
-    return times, report.triples_checked
-
-
-def table_cold_s(n: int) -> list[float]:
-    argv = ["table", "--n", str(n), "--family", "all", "--format", "csv"]
-    times = []
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        for _ in range(REPS):
-            characters.clear_cache()
-            start = time.perf_counter()
-            cli.main(argv, standalone_mode=False)
-            times.append(time.perf_counter() - start)
-    return times
+    return times, result
 
 
 def compute_warm_us() -> list[dict]:
@@ -159,22 +130,30 @@ def main() -> None:
     rows = []
     for n, triple in TRIPLES.items():
         lam = triple[0]
-        row_s, entries = cold_char_row_s(lam, n)
+        shapes = [make_partition(parts) for parts in triple]
+        row_s, _ = cold_s(lambda: characters._char_row(lam, n),
+                          setup=lambda: characters._classes(n))
+        entries = len(characters._strip_cache)  # before the next clear_cache()
+        classes_s, _ = cold_s(lambda: characters._classes(n))
+        oracle_s, _ = cold_s(lambda: characters.kron_oracle(*shapes))
         rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],
-                     **summary("classes_cold_ms", cold_classes_s(n), 1e3),
+                     **summary("classes_cold_ms", classes_s, 1e3),
                      **summary("char_row_cold_ms", row_s, 1e3), "strip_cache_entries": entries,
-                     **summary("oracle_cold_ms", cold_oracle_s(triple), 1e3)})
+                     **summary("oracle_cold_ms", oracle_s, 1e3)})
         print(json.dumps(rows[-1]))
     sweeps = []
     for family in SWEEP_FAMILIES:
         for n_max in SWEEP_N_MAX:
-            sweep_s, triples = sweep_inprocess_s(family, n_max)
-            sweeps.append({"family": family, "n_max": n_max, "triples": triples,
+            sweep_s, sweep = cold_s(lambda: run_sweep(family, n_max, jobs=1))
+            sweeps.append({"family": family, "n_max": n_max, "triples": sweep.triples_checked,
                            **summary("ms", sweep_s, 1e3)})
             print(json.dumps(sweeps[-1]))
     tables = []
     for n in TABLE_N:
-        tables.append({"n": n, **summary("ms", table_cold_s(n), 1e3)})
+        argv = ["table", "--n", str(n), "--family", "all", "--format", "csv"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            table_s, _ = cold_s(lambda: cli.main(argv, standalone_mode=False))
+        tables.append({"n": n, **summary("ms", table_s, 1e3)})
         print(json.dumps(tables[-1]))
     computes = {"n": COMPUTE_N, "triples": COMPUTE_SAMPLE, "seed": COMPUTE_SEED,
                 "by_provenance": compute_warm_us()}

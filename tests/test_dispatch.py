@@ -3,7 +3,8 @@
 The reference walker below is the walk compute used to run: build every
 symmetry variant in the documented order and return the first closed form
 that fires, else the oracle.  It matches each variant with its own
-reader-based class tests, so it shares no dispatch code with compute.
+reader-based class tests and builds the variants from its own literal
+tables of the order, so it shares no dispatch code or table with compute.
 compute must agree with it on gamma, provenance and moves.  Run this file
 as a script to gate every triple through a larger n:
 ``PYTHONPATH=src python tests/test_dispatch.py 10``.
@@ -22,13 +23,47 @@ from kroncoef.characters import (
     KroneckerResult,
 )
 from kroncoef.closed_forms import (
-    _CONJ_PATTERNS,
-    _PERMUTATIONS,
+    _VARIANTS,
     kron_hook_tworow,
     kron_two_hooks,
     kron_two_tworow,
 )
 from kroncoef.partitions import conjugate, hook_parts, two_row_parts
+
+# The documented order, written out here rather than read from closed_forms:
+# no conjugation first, then each conjugated pair, and inside each pattern
+# the permutations in lexicographic order, the identity first.
+CONJ_PATTERNS = (None, (0, 1), (0, 2), (1, 2))
+PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+# The moves each of the 24 variants records, in the documented order.  They
+# are part of compute's answer, so a reordered table changes the contract.
+DOCUMENTED_MOVES = (
+    (),
+    ("permute(0,2,1)",),
+    ("permute(1,0,2)",),
+    ("permute(1,2,0)",),
+    ("permute(2,0,1)",),
+    ("permute(2,1,0)",),
+    ("conjugate(0,1)",),
+    ("permute(0,2,1)", "conjugate(0,1)"),
+    ("permute(1,0,2)", "conjugate(0,1)"),
+    ("permute(1,2,0)", "conjugate(0,1)"),
+    ("permute(2,0,1)", "conjugate(0,1)"),
+    ("permute(2,1,0)", "conjugate(0,1)"),
+    ("conjugate(0,2)",),
+    ("permute(0,2,1)", "conjugate(0,2)"),
+    ("permute(1,0,2)", "conjugate(0,2)"),
+    ("permute(1,2,0)", "conjugate(0,2)"),
+    ("permute(2,0,1)", "conjugate(0,2)"),
+    ("permute(2,1,0)", "conjugate(0,2)"),
+    ("conjugate(1,2)",),
+    ("permute(0,2,1)", "conjugate(1,2)"),
+    ("permute(1,0,2)", "conjugate(1,2)"),
+    ("permute(1,2,0)", "conjugate(1,2)"),
+    ("permute(2,0,1)", "conjugate(1,2)"),
+    ("permute(2,1,0)", "conjugate(1,2)"),
+)
 
 
 def reference_variants(lam, mu, nu):
@@ -37,8 +72,8 @@ def reference_variants(lam, mu, nu):
     then each pairwise-conjugation pattern crossed with the permutations."""
     original = (lam, mu, nu)
     conjugated = (conjugate(lam), conjugate(mu), conjugate(nu))
-    for pattern in _CONJ_PATTERNS:
-        for perm in _PERMUTATIONS:
+    for pattern in CONJ_PATTERNS:
+        for perm in PERMUTATIONS:
             triple = [original[s] for s in perm]
             moves = ()
             if perm != (0, 1, 2):
@@ -89,6 +124,10 @@ def gate(n_max):
     return checked
 
 
+def test_variant_table_is_in_the_documented_order():
+    assert tuple(variant.moves for variant in _VARIANTS) == DOCUMENTED_MOVES
+
+
 def test_shape_code_matches_the_readers():
     # the reference matcher's class tests: len <= 1, two_row_parts and hook_parts
     for n in range(13):
@@ -126,8 +165,8 @@ def _random_hook(rng, n):
 
 def _present(rng, triple):
     """The triple in a random S3 order, then with a random pair conjugated."""
-    triple = [triple[s] for s in rng.choice(_PERMUTATIONS)]
-    pattern = rng.choice(_CONJ_PATTERNS)
+    triple = [triple[s] for s in rng.choice(PERMUTATIONS)]
+    pattern = rng.choice(CONJ_PATTERNS)
     if pattern is not None:
         for s in pattern:
             triple[s] = conjugate(triple[s])
