@@ -94,9 +94,12 @@ def summary(key: str, seconds: list[float], scale: float) -> dict:
 
 def cold_s(work, setup=None) -> tuple[list[float], object]:
     """REPS times of work(), each right after clear_cache() and an untimed
-    setup() when one is given, and the result of the last work()."""
+    setup() when one is given, and the result of the last work().  The
+    previous result is dropped before clear_cache(), so no repetition frees
+    it inside the timed window or works beside it."""
     times = []
     for _ in range(REPS):
+        result = None
         characters.clear_cache()
         if setup is not None:
             setup()
@@ -131,11 +134,11 @@ def main() -> None:
     for n, triple in TRIPLES.items():
         lam = triple[0]
         shapes = [make_partition(parts) for parts in triple]
-        row_s, _ = cold_s(lambda: characters._char_row(lam, n),
-                          setup=lambda: characters._classes(n))
+        row_s = cold_s(lambda: characters._char_row(lam, n),
+                       setup=lambda: characters._classes(n))[0]
         entries = len(characters._strip_cache)  # before the next clear_cache()
-        classes_s, _ = cold_s(lambda: characters._classes(n))
-        oracle_s, _ = cold_s(lambda: characters.kron_oracle(*shapes))
+        classes_s = cold_s(lambda: characters._classes(n))[0]
+        oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
         rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],
                      **summary("classes_cold_ms", classes_s, 1e3),
                      **summary("char_row_cold_ms", row_s, 1e3), "strip_cache_entries": entries,
@@ -152,7 +155,7 @@ def main() -> None:
     for n in TABLE_N:
         argv = ["table", "--n", str(n), "--family", "all", "--format", "csv"]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            table_s, _ = cold_s(lambda: cli.main(argv, standalone_mode=False))
+            table_s = cold_s(lambda: cli.main(argv, standalone_mode=False))[0]
         tables.append({"n": n, **summary("ms", table_s, 1e3)})
         print(json.dumps(tables[-1]))
     computes = {"n": COMPUTE_N, "triples": COMPUTE_SAMPLE, "seed": COMPUTE_SEED,
