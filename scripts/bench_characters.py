@@ -49,6 +49,11 @@ parent and on the change, at least five of each, alternating which side
 runs first, as the benchmark's pairs are run; then compare, figure by
 figure, the median of the parent's run medians with the median of the
 change's, and quote the range of each side's run medians beside them.
+Even so, this harness cannot resolve a change smaller than about a third
+on a shared 2-CPU host: ten alternating pairs of whole runs, timing the
+same code on both sides, gave medians of run medians 0.76-1.32x apart,
+and on every figure the two ranges of run medians overlapped.  Cite a
+smaller change from kronbench's alternating pairs of benchmark runs.
 """
 
 from __future__ import annotations

@@ -257,7 +257,7 @@ def sample_fractions(rng: random.Random, count: int) -> list[Fraction]:
 
 
 def _difference_alphabet(u: Sequence[Fraction], v: Sequence[Fraction]) -> SignedAlphabet:
-    return SignedAlphabet([(1, x) for x in u] + [(-1, x) for x in v])
+    return alphabet_sum(SignedAlphabet.positive(u), alphabet_negate(SignedAlphabet.positive(v)))
 
 
 def verify_sergeev_specializations(

@@ -269,14 +269,6 @@ def test_oracle_small_values():
     assert result.provenance == "Oracle" and result.moves == ()
 
 
-def test_oracle_delta_rule_one_row():
-    for n in range(1, 9):
-        top = make_partition([n])
-        for mu in enumerate_partitions(n):
-            for nu in enumerate_partitions(n):
-                assert kron_oracle(top, mu, nu).gamma == (1 if mu == nu else 0)
-
-
 def test_oracle_sign_twist():
     # gamma^lam_{(1^n), nu} = [lam == nu']
     for n in range(1, 11):

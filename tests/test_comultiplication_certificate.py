@@ -1,12 +1,13 @@
-"""The three closed forms certified at n = 20 by the identity the source
-paper derives them from, the comultiplication expansion
+"""The three closed forms certified at n = 20 and n = 200 by the identity
+the source paper derives them from, the comultiplication expansion
 
     s_lam[XY] = sum over mu, nu of gamma(lam, mu, nu) s_mu[X] s_nu[Y],
 
-on two-letter alphabets X and Y, for every lam of 20, with gamma from
-compute.  Each side is read from the closed two-variable specializations
-of schur_eval, so no character sum is taken except for the one-row and
-one-column lam on a two-minus-two alphabet.  The identity is checked
+on two-letter alphabets X and Y, for every lam of 20 and for a slice of lam
+of 200 built from their parts, with gamma from compute.  Each side is read
+from the closed two-variable specializations of schur_eval, so no
+character sum is taken except for the one-row and one-column lam on a
+two-minus-two alphabet.  The identity is checked
 exactly at seeded sample points, drawn again for each lam, and again
 whenever two letters on one side of XY coincide.
 
@@ -25,6 +26,8 @@ import pytest
 
 from kroncoef import (
     SignedAlphabet,
+    alphabet_negate,
+    alphabet_sum,
     compute,
     enumerate_partitions,
     make_partition,
@@ -41,7 +44,6 @@ from kroncoef.schur_eval import (
     sample_fractions,
 )
 
-N = 20
 SEED = 20000104
 
 
@@ -65,9 +67,9 @@ def s_two_minus_two(lam, plus, minus):
     hook = hook_parts(lam)
     if hook is not None:
         return rhs_hook_difference_four_term(*hook, *plus, *minus)
-    # one row or one column
-    return schur_eval_characters(lam, SignedAlphabet([(1, u) for u in plus]
-                                                     + [(-1, v) for v in minus]))
+    # one row or one column: a sum over the p(n) classes
+    return schur_eval_characters(lam, alphabet_sum(SignedAlphabet.positive(plus),
+                                                   alphabet_negate(SignedAlphabet.positive(minus))))
 
 
 def s_four_letters(lam, plus, minus):
@@ -87,18 +89,43 @@ def two_row_letters(x1, x2, y1, y2):
     return (x1 * y1, x1 * y2, x2 * y1, x2 * y2), ()
 
 
-HOOKS = [make_partition([N - e] + [1] * e) for e in range(N)]
-TWO_ROWS = [make_partition([N - j, j]) for j in range(N // 2 + 1)]
+def hooks(n):
+    """The shapes (n - e, 1^e) of n, one row and one column included."""
+    return [make_partition([n - e] + [1] * e) for e in range(n)]
 
-# (kernel provenance, mu with s_mu[X] != 0, s_mu[X], nu with s_nu[Y] != 0,
-#  s_nu[Y], the letters of XY, s_lam[XY])
+
+def two_rows(n):
+    """The shapes (n - j, j) of n, one row included."""
+    return [make_partition([n - j, j]) for j in range(n // 2 + 1)]
+
+
+# (kernel provenance, mu of n with s_mu[X] != 0, s_mu[X], nu of n with
+#  s_nu[Y] != 0, s_nu[Y], the letters of XY, s_lam[XY])
 FAMILIES = {
-    "hook-hook": (HOOK_HOOK, HOOKS, s_difference, HOOKS, s_difference,
+    "hook-hook": (HOOK_HOOK, hooks, s_difference, hooks, s_difference,
                   hook_hook_letters, s_two_minus_two),
-    "hook-two-row": (HOOK_TWO_ROW, HOOKS, s_difference, TWO_ROWS, s_sum,
+    "hook-two-row": (HOOK_TWO_ROW, hooks, s_difference, two_rows, s_sum,
                      hook_two_row_letters, s_two_minus_two),
-    "two-row": (TWO_ROW_TWO_ROW, TWO_ROWS, s_sum, TWO_ROWS, s_sum,
+    "two-row": (TWO_ROW_TWO_ROW, two_rows, s_sum, two_rows, s_sum,
                 two_row_letters, s_four_letters),
+}
+
+# lam of 200 as part lists, since p(200) cannot be enumerated.  No one-row or
+# one-column lam: s_two_minus_two would sum over the p(200) classes for them.
+# (90, 40, 2^10, 1^50) is a double hook with n4 - n3 <= d1, (110, 60, 2^5,
+# 1^20) one with n4 - n3 > d1, (163, 1^37) a hook, and (100, 50, 30, 20)
+# holds the cell (3,3); (80, 60, 30, 20, 10) has five rows, so every gamma
+# of the two-row family is 0 on it.
+HOOK_LAMBDAS_AT_200 = [
+    [90, 40] + [2] * 10 + [1] * 50,
+    [110, 60] + [2] * 5 + [1] * 20,
+    [163] + [1] * 37,
+    [100, 50, 30, 20],
+]
+LAMBDAS_AT_200 = {
+    "hook-hook": HOOK_LAMBDAS_AT_200,
+    "hook-two-row": HOOK_LAMBDAS_AT_200,
+    "two-row": [[80, 60, 40, 20], [80, 60, 30, 20, 10]],
 }
 
 
@@ -113,13 +140,15 @@ def sample_point(rng, letters):
             return x1, x2, y1, y2, plus, minus
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_comultiplication_certifies_the_closed_forms_at_n_20(family):
-    kernel, mus, s_x, nus, s_y, letters, s_xy = FAMILIES[family]
+def assert_certified(family, n, lams):
+    """The identity holds on every lam, and compute answered it with the
+    family's kernel among its routes and never with the oracle."""
+    kernel, mus_of, s_x, nus_of, s_y, letters, s_xy = FAMILIES[family]
+    mus, nus = mus_of(n), nus_of(n)
     rng = random.Random(SEED)
     failed = []
     provenances = set()
-    for lam in enumerate_partitions(N):
+    for lam in lams:
         x1, x2, y1, y2, plus, minus = sample_point(rng, letters)
         y_values = [s_y(nu, y1, y2) for nu in nus]
         rhs = 0
@@ -136,3 +165,13 @@ def test_comultiplication_certifies_the_closed_forms_at_n_20(family):
             failed.append(lam)
     assert failed == []
     assert kernel in provenances and ORACLE not in provenances
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_comultiplication_certifies_the_closed_forms_at_n_20(family):
+    assert_certified(family, 20, enumerate_partitions(20))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_comultiplication_certifies_the_closed_forms_at_n_200(family):
+    assert_certified(family, 200, [make_partition(parts) for parts in LAMBDAS_AT_200[family]])
