@@ -242,6 +242,12 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert all(ln.endswith(" ok") for ln in lines)
 
+    def test_run_sweep_matches_direct_loop(self):
+        report = run_sweep("hook-two-row", 6)
+        assert report.mismatches == []
+        assert report.max_gamma <= 3
+        assert report.triples_checked > 0
+
     def test_parallel_jobs_agree(self):
         for family in cli.SWEEP_FAMILIES:
             serial = asdict(run_sweep(family, 6, jobs=1))

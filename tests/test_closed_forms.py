@@ -78,6 +78,26 @@ def apply_moves(lam, mu, nu, moves):
 
 
 class TestTwoTwoRow:
+    def test_square_family(self):
+        square2 = make_partition([2, 2])
+        square3 = make_partition([3, 3])
+        assert kron_two_tworow(square2, square2, square2) == 1
+        assert kron_two_tworow(square3, square3, square3) == 0
+
+    def test_stretched_family(self):
+        lam = make_partition([12, 4])  # (3l, l) with l = 4
+        assert kron_two_tworow(lam, lam, lam) == 3
+
+    def test_matches_oracle_with_deep_lambda(self):
+        lam = make_partition([3, 1, 1, 1])
+        mu = make_partition([4, 2])
+        nu = make_partition([3, 3])
+        assert kron_two_tworow(lam, mu, nu) == oracle(lam, mu, nu)
+        deep = make_partition([5, 1, 1, 1])
+        for mu in two_rows_of(8):
+            for nu in two_rows_of(8):
+                assert kron_two_tworow(deep, mu, nu) == oracle(deep, mu, nu)
+
     def test_zero_beyond_four_rows(self):
         lam = make_partition([2, 2, 1, 1, 1, 1])
         mu = make_partition([4, 4])
@@ -95,6 +115,15 @@ class TestTwoTwoRow:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             kron_two_tworow(make_partition([3, 3]), make_partition([2, 2, 2]), make_partition([6]))
+
+    def test_exhaustive_vs_oracle_small(self):
+        for n in range(1, 11):
+            lams = [p for p in enumerate_partitions(n) if len(p) <= 4]
+            rows = two_rows_of(n)
+            for lam in lams:
+                for mu in rows:
+                    for nu in rows:
+                        assert kron_two_tworow(lam, mu, nu) == oracle(lam, mu, nu)
 
     def test_seeded_sample_vs_oracle_beyond_exhaustive_range(self):
         # 13 triples per n: a lam of at most four rows with two genuine
@@ -193,6 +222,16 @@ class TestTwoHooks:
         assert result.provenance == HOOK_HOOK
         assert result.gamma == 0
 
+    def test_exhaustive_vs_oracle_small(self):
+        for n in range(2, 11):
+            hooks = hooks_of(n)
+            for lam in enumerate_partitions(n):
+                for mu in hooks:
+                    for nu in hooks:
+                        got = kron_two_hooks(lam, mu, nu)
+                        assert got == oracle(lam, mu, nu), (lam, mu, nu)
+                        assert got in (0, 1, 2)
+
 
 class TestHookHookTwoRowCorollary:
     # a two-row lam with lam2 >= 2 is a double hook with d1 = d2 = 0, which
@@ -260,6 +299,19 @@ class TestHookTwoRow:
         with pytest.raises(ShapeMismatch):  # nu of three rows
             kron_hook_tworow(lam, make_partition([3, 1, 1]), make_partition([2, 2, 1]))
 
+    def test_documented_triple(self):
+        lam = make_partition([2, 2, 1])
+        mu = make_partition([2, 1, 1, 1])
+        nu = make_partition([3, 2])
+        assert kron_hook_tworow(lam, mu, nu) == oracle(lam, mu, nu)
+
+    def test_normalization_by_pair_conjugation(self):
+        # wide double hooks (n4 - n3 > d1) must conjugate {lam, mu} first
+        lam = make_partition([6, 2])
+        mu = make_partition([5, 1, 1, 1])
+        nu = make_partition([4, 4])
+        assert kron_hook_tworow(lam, mu, nu) == oracle(lam, mu, nu)
+
     def test_wide_double_hook_parameters_are_the_conjugate_pair(self):
         # the map kron_hook_tworow applies when n4 - n3 > d1, against the
         # readers on the conjugate shapes
@@ -275,6 +327,16 @@ class TestHookTwoRow:
             for mu in hooks_of(n):
                 assert n - 1 - hook_parts(mu)[0] == hook_parts(conjugate(mu))[0]
         assert wide > 1000
+
+    def test_exhaustive_vs_oracle_small(self):
+        for n in range(2, 11):
+            rows = two_rows_of(n)
+            for lam in enumerate_partitions(n):
+                for mu in hooks_of(n):
+                    for nu in rows:
+                        got = kron_hook_tworow(lam, mu, nu)
+                        assert got == oracle(lam, mu, nu), (lam, mu, nu)
+                        assert got in (0, 1, 2, 3)
 
 
 class TestHookKernelsBeyondExhaustiveRange:

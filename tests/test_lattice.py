@@ -40,6 +40,12 @@ class TestSigma:
         assert sigma_bruteforce(3, 2, 10) == 3
         assert sigma_closed(3, 2, 10) == 3
 
+    def test_closed_equals_bruteforce(self):
+        for k in range(1, 11):
+            for l in range(1, 11):
+                for h in range(-2, k + l + 5):
+                    assert sigma_closed(k, l, h) == sigma_bruteforce(k, l, h), (k, l, h)
+
     def test_transposition_symmetry(self):
         for k in range(1, 13):
             for l in range(1, 13):
