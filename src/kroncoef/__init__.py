@@ -51,21 +51,39 @@ from .partitions import (
     two_row_parts,
     z_of,
 )
-from .schur_eval import (
-    RepeatedValue,
-    SignedAlphabet,
-    SingularPoint,
-    alphabet_negate,
-    alphabet_product,
-    alphabet_sum,
-    power_sum_eval,
-    schur_eval_bialternant,
-    schur_eval_characters,
-    verify_comultiplication,
-    verify_sergeev_specializations,
-)
 
 __version__ = "0.1.0"
+
+# schur_eval, with fractions, loads on first access to one of these names
+# (PEP 562), so that importing the package or its CLI does not pay for it.
+_SCHUR_EVAL_NAMES = frozenset((
+    "RepeatedValue",
+    "SignedAlphabet",
+    "SingularPoint",
+    "alphabet_negate",
+    "alphabet_product",
+    "alphabet_sum",
+    "power_sum_eval",
+    "schur_eval_bialternant",
+    "schur_eval_characters",
+    "verify_comultiplication",
+    "verify_sergeev_specializations",
+))
+
+
+def __getattr__(name):
+    if name not in _SCHUR_EVAL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import schur_eval
+
+    value = getattr(schur_eval, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _SCHUR_EVAL_NAMES)
+
 
 __all__ = [
     "AUTO",

@@ -9,6 +9,9 @@ The two independent evaluators (character expansion and bialternant quotient),
 the product-alphabet expansion identity, and the four two-variable
 specializations of the difference formula are the cross-checks that certify
 the Kronecker machinery from a direction that never touches lattice counting.
+The one-row and one-column forms on u1 + u2 - v1 - v2 complete the
+specializations, so that s_lam at that alphabet has a closed form for every
+lam without the cell (3,3).
 """
 
 from __future__ import annotations
@@ -235,6 +238,35 @@ def rhs_hook_difference_four_term(
         + u2 * v2 * (u2 - v2) * (u2 - v1) * (u1 - v2) * u2 ** (w - 2) * v2 ** (d - 1)
     )
     return (-1) ** (d - 1) * bracket / ((u1 - u2) * (v1 - v2))
+
+
+def _complete_two(k: int, a: Fraction, b: Fraction) -> Fraction:
+    """h_k(a, b), which is s_(k)[a + b]; 0 for k < 0."""
+    return rhs_two_row_sum(k, 0, a, b) if k >= 0 else Fraction(0)
+
+
+def rhs_one_row_difference(
+    n: int, u1: Fraction, u2: Fraction, v1: Fraction, v2: Fraction
+) -> Fraction:
+    """s_(n)[u1 + u2 - v1 - v2] = h_n(U) - h_{n-1}(U)(v1 + v2) + h_{n-2}(U) v1 v2
+    with U = (u1, u2); needs u1 != u2."""
+    return (
+        _complete_two(n, u1, u2)
+        - _complete_two(n - 1, u1, u2) * (v1 + v2)
+        + _complete_two(n - 2, u1, u2) * v1 * v2
+    )
+
+
+def rhs_one_column_difference(
+    n: int, u1: Fraction, u2: Fraction, v1: Fraction, v2: Fraction
+) -> Fraction:
+    """s_(1^n)[u1 + u2 - v1 - v2] = sum over j <= 2 of (-1)^(n-j) e_j(U) h_{n-j}(V)
+    with U = (u1, u2) and V = (v1, v2); needs v1 != v2."""
+    e_u = (1, u1 + u2, u1 * u2)
+    return sum(
+        ((-1) ** (n - j) * e_u[j] * _complete_two(n - j, v1, v2) for j in range(min(n, 2) + 1)),
+        Fraction(0),
+    )
 
 
 # The number of distinct values p/q with 1 <= p, q <= 13.

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -387,7 +390,8 @@ class TestVerifyCommand:
                 tasks.append(len(calls))
                 return [fn(*args) for args in calls]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # run_sweep imports the pool class from concurrent.futures at call time
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         report = run_sweep("two-row", 6, jobs=500)
         # one pool per sweep, sized min(jobs, CPUs, p(6) = 11), one task per worker
@@ -419,3 +423,34 @@ class TestSelftestCommand:
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
         assert result.output.count("PASS") >= 7
+
+
+class TestImportHygiene:
+    def test_cli_import_loads_neither_the_pool_nor_schur_eval(self):
+        # a fresh interpreter: the suite's own imports would hide an eager one
+        script = (
+            "import json, sys\n"
+            "import kroncoef.cli\n"
+            "loaded = [m for m in ('concurrent.futures', 'multiprocessing',\n"
+            "                      'kroncoef.schur_eval') if m in sys.modules]\n"
+            "import kroncoef\n"
+            "not_listed = sorted(set(kroncoef.__all__) - set(dir(kroncoef)))\n"
+            "namespace = {}\n"
+            "exec('from kroncoef import *', namespace)\n"
+            "unbound = sorted(set(kroncoef.__all__) - set(namespace))\n"
+            "from kroncoef import schur_eval\n"
+            "same = namespace['verify_comultiplication'] is schur_eval.verify_comultiplication\n"
+            "try:\n"
+            "    kroncoef.no_such_name\n"
+            "    unknown = 'resolved'\n"
+            "except AttributeError:\n"
+            "    unknown = 'AttributeError'\n"
+            "print(json.dumps({'loaded': loaded, 'not_listed': not_listed,\n"
+            "                  'unbound': unbound, 'same': same, 'unknown': unknown}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        assert json.loads(out) == {"loaded": [], "not_listed": [], "unbound": [],
+                                   "same": True, "unknown": "AttributeError"}

@@ -6,8 +6,7 @@ the source paper derives them from, the comultiplication expansion
 on two-letter alphabets X and Y, for every lam of 20 and for a slice of lam
 of 200 built from their parts, with gamma from compute.  Each side is read
 from the closed two-variable specializations of schur_eval, so no
-character sum is taken except for the one-row and one-column lam on a
-two-minus-two alphabet.  The identity is checked
+character sum is taken.  The identity is checked
 exactly at seeded sample points, drawn again for each lam, and again
 whenever two letters on one side of XY coincide.
 
@@ -26,13 +25,10 @@ import pytest
 
 from kroncoef import (
     SignedAlphabet,
-    alphabet_negate,
-    alphabet_sum,
     compute,
     enumerate_partitions,
     make_partition,
     schur_eval_bialternant,
-    schur_eval_characters,
 )
 from kroncoef.characters import HOOK_HOOK, HOOK_TWO_ROW, ORACLE, TWO_ROW_TWO_ROW
 from kroncoef.partitions import double_hook_parts, hook_parts, two_row_parts
@@ -40,6 +36,8 @@ from kroncoef.schur_eval import (
     rhs_double_hook_difference,
     rhs_hook_difference,
     rhs_hook_difference_four_term,
+    rhs_one_column_difference,
+    rhs_one_row_difference,
     rhs_two_row_sum,
     sample_fractions,
 )
@@ -67,9 +65,9 @@ def s_two_minus_two(lam, plus, minus):
     hook = hook_parts(lam)
     if hook is not None:
         return rhs_hook_difference_four_term(*hook, *plus, *minus)
-    # one row or one column: a sum over the p(n) classes
-    return schur_eval_characters(lam, alphabet_sum(SignedAlphabet.positive(plus),
-                                                   alphabet_negate(SignedAlphabet.positive(minus))))
+    if len(lam) == 1:
+        return rhs_one_row_difference(lam.n, *plus, *minus)
+    return rhs_one_column_difference(lam.n, *plus, *minus)
 
 
 def s_four_letters(lam, plus, minus):
@@ -110,22 +108,24 @@ FAMILIES = {
                 two_row_letters, s_four_letters),
 }
 
-# lam of 200 as part lists, since p(200) cannot be enumerated.  No one-row or
-# one-column lam: s_two_minus_two would sum over the p(200) classes for them.
+# lam of 200 as part lists, since p(200) cannot be enumerated.
 # (90, 40, 2^10, 1^50) is a double hook with n4 - n3 <= d1, (110, 60, 2^5,
 # 1^20) one with n4 - n3 > d1, (163, 1^37) a hook, and (100, 50, 30, 20)
 # holds the cell (3,3); (80, 60, 30, 20, 10) has five rows, so every gamma
-# of the two-row family is 0 on it.
+# of the two-row family is 0 on it.  Every family also takes the one row
+# (200) and the one column (1^200).
+ROW_AND_COLUMN_AT_200 = [[200], [1] * 200]
 HOOK_LAMBDAS_AT_200 = [
     [90, 40] + [2] * 10 + [1] * 50,
     [110, 60] + [2] * 5 + [1] * 20,
     [163] + [1] * 37,
     [100, 50, 30, 20],
+    *ROW_AND_COLUMN_AT_200,
 ]
 LAMBDAS_AT_200 = {
     "hook-hook": HOOK_LAMBDAS_AT_200,
     "hook-two-row": HOOK_LAMBDAS_AT_200,
-    "two-row": [[80, 60, 40, 20], [80, 60, 30, 20, 10]],
+    "two-row": [[80, 60, 40, 20], [80, 60, 30, 20, 10], *ROW_AND_COLUMN_AT_200],
 }
 
 

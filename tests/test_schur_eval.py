@@ -25,6 +25,8 @@ from kroncoef.schur_eval import (
     rhs_double_hook_difference,
     rhs_hook_difference,
     rhs_hook_difference_four_term,
+    rhs_one_column_difference,
+    rhs_one_row_difference,
     rhs_two_row_sum,
     sample_fractions,
 )
@@ -254,6 +256,17 @@ class TestSergeevSpecializations:
         )
         assert lhs == rhs_hook_difference_four_term(1, 2, u1, u2, v1, v2)
         assert lhs == F(6)
+
+    @pytest.mark.parametrize("n", [5, 8, 11])
+    def test_one_row_and_one_column_differences(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            u1, u2, v1, v2 = sample_fractions(rng, 4)
+            alphabet = SignedAlphabet([(1, u1), (1, u2), (-1, v1), (-1, v2)])
+            assert schur_eval_characters(make_partition([n]), alphabet) == (
+                rhs_one_row_difference(n, u1, u2, v1, v2))
+            assert schur_eval_characters(make_partition([1] * n), alphabet) == (
+                rhs_one_column_difference(n, u1, u2, v1, v2))
 
     def test_singular_points_rejected(self):
         with pytest.raises(SingularPoint):
