@@ -1,7 +1,8 @@
 """Layer timings of the character oracle: the class table, one cold
 character row and one cold oracle query, for n = 14, 16, ..., 24, the
 in-process verification sweep that certifies the closed forms against it,
-and the CLI's table of every triple of one n.
+the CLI's table of every triple of one n, and one warm call of each closed
+kernel.
 
     PYTHONPATH=src python scripts/bench_characters.py [--out BENCH_characters.json]
 
@@ -35,11 +36,22 @@ COMPUTE_SAMPLE triples of n = COMPUTE_N drawn with the fixed seed
 COMPUTE_SEED, after ``clear_cache()`` and one untimed pass: every
 character row and closed-form lookup is warm, while the oracle's
 one-entry pair-weight cache still misses whenever the pair changes, as it
-does for a random query.  Only ``clear_cache``, ``_classes``,
-``_char_row``, ``_strip_cache``, ``kron_oracle``, ``compute``,
-``enumerate_partitions``, ``run_sweep``, ``SWEEP_FAMILIES`` and
-``cli.main`` are used, so the script runs unchanged against earlier
-versions of the package.
+does for a random query.
+
+Under ``kernel_warm_us`` it records, for each closed kernel, the time of
+one call: each of REPS timed passes calls the kernel on every triple of
+n = COMPUTE_N whose mu and nu lie in its classes (every lam, and mu and nu
+two-row, both hooks, or a hook and a two-row shape), after one untimed
+pass, and its time is divided by the number of triples.  The classes are
+read from the parts here, not from the package, so the triples timed do
+not depend on the code under test.
+
+Only ``clear_cache``, ``_classes``, ``_char_row``, ``_strip_cache``,
+``kron_oracle``, ``compute``, ``enumerate_partitions``, ``run_sweep``,
+``SWEEP_FAMILIES``, ``cli.main`` and the three kernels
+``kron_two_tworow``, ``kron_two_hooks`` and ``kron_hook_tworow`` are
+used, so the script runs unchanged against earlier versions of the
+package.
 
 To cite a before/after, do not set one file's median against another's
 quartiles: on a shared 2-CPU host two whole runs of the same code drift
@@ -67,7 +79,16 @@ import random
 import statistics
 import time
 
-from kroncoef import characters, cli, compute, enumerate_partitions, make_partition
+from kroncoef import (
+    characters,
+    cli,
+    compute,
+    enumerate_partitions,
+    kron_hook_tworow,
+    kron_two_hooks,
+    kron_two_tworow,
+    make_partition,
+)
 from kroncoef.cli import SWEEP_FAMILIES, run_sweep
 
 REPS = 5
@@ -131,6 +152,40 @@ def compute_warm_us() -> list[dict]:
             for name in PROVENANCES]
 
 
+def is_two_row(p) -> bool:
+    return len(p.parts) <= 2
+
+
+def is_hook(p) -> bool:
+    return len(p.parts) >= 2 and p.parts[0] >= 2 and p.parts[1] == 1
+
+
+# each kernel with the classes of its mu and of its nu
+KERNELS = {
+    "kron_two_tworow": (kron_two_tworow, is_two_row, is_two_row),
+    "kron_two_hooks": (kron_two_hooks, is_hook, is_hook),
+    "kron_hook_tworow": (kron_hook_tworow, is_hook, is_two_row),
+}
+
+
+def kernel_warm_us() -> list[dict]:
+    shapes = list(enumerate_partitions(COMPUTE_N))
+    rows = []
+    for name, (kernel, mu_class, nu_class) in KERNELS.items():
+        triples = [(lam, mu, nu) for lam in shapes
+                   for mu in shapes if mu_class(mu) for nu in shapes if nu_class(nu)]
+        for triple in triples:  # the untimed pass
+            kernel(*triple)
+        times = []
+        for _ in range(REPS):
+            start = time.perf_counter()
+            for lam, mu, nu in triples:
+                kernel(lam, mu, nu)
+            times.append((time.perf_counter() - start) / len(triples))
+        rows.append({"kernel": name, "triples": len(triples), **summary("us", times, 1e6)})
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_characters.json")
@@ -166,12 +221,14 @@ def main() -> None:
     computes = {"n": COMPUTE_N, "triples": COMPUTE_SAMPLE, "seed": COMPUTE_SEED,
                 "by_provenance": compute_warm_us()}
     print(json.dumps(computes))
+    kernels = {"n": COMPUTE_N, "by_kernel": kernel_warm_us()}
+    print(json.dumps(kernels))
     report = {"topic": "characters", "cache": "cold: clear_cache() before every repetition",
               "statistic": "median, with quartiles [q1, q3] under each *_quartiles key",
               "repetitions": REPS,
               "python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": rows,
               "sweep_inprocess_ms": sweeps, "table_cold_ms": tables,
-              "compute_warm_us": computes}
+              "compute_warm_us": computes, "kernel_warm_us": kernels}
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -181,23 +181,27 @@ def _sweep_chunk(family: str, n_max: int, first: int, step: int) -> SweepReport:
     every lambda of the share at once, and each closed form is then checked
     against its column entry, so mismatches come in (mu, nu, lambda) order.
     The closed forms are valued by closed_forms._try_closed, read once per
-    chunk from the module, as compute reaches it."""
+    chunk from the module, as compute reaches it; the counts grow once per
+    pair, and an n whose share is empty is skipped."""
     report = SweepReport(n=n_max, family=family)
     provenance = SWEEP_FAMILIES[family].provenance
     try_closed = closed_forms._try_closed
     for n in range(1, n_max + 1):
         shapes = list(enumerate_partitions(n))
         lams = shapes[first::step]
+        if not lams:
+            continue
         for mu, nu in _family_pairs(shapes, family):
-            for lam, oracle in zip(lams, kron_oracle_column(mu, nu, lams)):
-                closed = try_closed(provenance, lam, mu, nu)
-                report.triples_checked += 1
-                report.max_gamma = max(report.max_gamma, closed)
-                if closed != oracle:
-                    report.mismatches.append(
-                        {"lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
-                         "closed": closed, "oracle": oracle}
-                    )
+            column = kron_oracle_column(mu, nu, lams)
+            closed = [try_closed(provenance, lam, mu, nu) for lam in lams]
+            report.triples_checked += len(lams)
+            report.max_gamma = max(report.max_gamma, *closed)
+            if closed != column:
+                report.mismatches.extend(
+                    {"lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts),
+                     "closed": value, "oracle": oracle}
+                    for lam, value, oracle in zip(lams, closed, column) if value != oracle
+                )
     return report
 
 

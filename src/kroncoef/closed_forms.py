@@ -5,9 +5,12 @@ Every formula is exact and certified against the character oracle by the test
 suite.  The sanctioned symmetry moves are: any permutation of (lambda, mu, nu),
 and conjugating any two of the three shapes simultaneously.  CLOSED_FORMS states
 once the shape classes each form needs; compute and the CLI's sweep read it.
-The classes of a shape and of its conjugate are not read here: each
-Partition carries them in its shape_code, set once by its constructor
-(partitions._shape_code states the bit layout).
+No shape is classified here: each Partition carries the classes of its
+shape and of its conjugate in its shape_code, set once by its constructor
+(partitions._shape_code states the bit layout).  compute's dispatch reads
+those bits, and so does each kernel to refuse a shape outside its class;
+the kernels read legs and second rows from the parts, and the double-hook
+parameters of lam from double_hook_parts.
 _compute_block answers a whole (lam, mu) block of the CLI's table with
 compute's dispatch and one oracle column.  compute and _compute_block share
 one closed step, _closed_answer, which applies the chosen symmetry variant
@@ -40,7 +43,6 @@ from .partitions import (
     Partition,
     conjugate,
     double_hook_parts,
-    hook_parts,
     two_row_parts,
 )
 
@@ -90,14 +92,14 @@ def kron_two_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     enters as second part 0.
     """
     _check_sizes(lam, mu, nu)
-    mu_p = two_row_parts(mu)
-    nu_p = two_row_parts(nu)
-    if mu_p is None or nu_p is None:
+    if not mu.shape_code & nu.shape_code & _TWO_ROW:
         raise ShapeMismatch(f"mu and nu must have at most two parts: {mu}, {nu}")
-    if len(lam) > 4:
+    parts = lam.parts
+    if len(parts) > 4:
         return 0
-    l1, l2, l3, l4 = lam.pad(4)
-    mu2, nu2 = mu_p[1], nu_p[1]
+    l1, l2, l3, l4 = parts + (0,) * (4 - len(parts))
+    mu2 = mu.parts[1] if len(mu.parts) == 2 else 0
+    nu2 = nu.parts[1] if len(nu.parts) == 2 else 0
     if nu2 > mu2:
         mu2, nu2 = nu2, mu2
     a = l3 + l4
@@ -149,12 +151,11 @@ def kron_two_hooks(lam: Partition, mu: Partition, nu: Partition) -> int:
     normalization.
     """
     _check_sizes(lam, mu, nu)
-    hk_mu = hook_parts(mu)
-    hk_nu = hook_parts(nu)
-    if hk_mu is None or hk_nu is None:
+    if not mu.shape_code & nu.shape_code & _HOOK:
         raise ShapeMismatch(f"mu and nu must be hooks (m, 1^e) with m >= 2, e >= 1: {mu}, {nu}")
-    e, f = hk_mu[0], hk_nu[0]
-    if len(lam) >= 3 and lam.parts[2] >= 3:
+    e, f = len(mu.parts) - 1, len(nu.parts) - 1
+    parts = lam.parts
+    if len(parts) >= 3 and parts[2] >= 3:
         return 0  # the cell (3,3) lies in lam: not contained in any double hook
     dh = double_hook_parts(lam)
     if dh is not None:
@@ -164,7 +165,7 @@ def kron_two_hooks(lam: Partition, mu: Partition, nu: Partition) -> int:
         first = 1 if 2 * (n3 - 1) <= e + f - x <= 2 * n4 and abs(f - e) <= d1 else 0
         second = 1 if 2 * n3 <= e + f - x + 1 <= 2 * n4 and abs(f - e) <= d1 + 1 else 0
         return first + second
-    d = len(lam) - 1
+    d = len(parts) - 1
     return 1 if abs(e - f) <= d <= e + f and d + e + f <= 2 * (lam.n - 1) else 0
 
 
@@ -184,19 +185,18 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     (d1, d2, n3, n4, e1), not in the shapes.
     """
     _check_sizes(lam, mu, nu)
-    hk_mu = hook_parts(mu)
-    tr_nu = two_row_parts(nu)
-    if hk_mu is None:
+    if not mu.shape_code & _HOOK:
         raise ShapeMismatch(f"mu must be a hook: {mu}")
-    if tr_nu is None:
+    if not nu.shape_code & _TWO_ROW:
         raise ShapeMismatch(f"nu must have at most two parts: {nu}")
-    e1, _ = hk_mu
-    nu2 = tr_nu[1]
+    e1 = len(mu.parts) - 1
+    nu2 = nu.parts[1] if len(nu.parts) == 2 else 0
     if nu2 == 1:
         return kron_two_hooks(lam, mu, nu)
-    if len(lam) == 1 or lam.parts[1] == 1:
-        return 0 if hook_parts(lam) is None else kron_two_hooks(nu, lam, mu)
-    if len(lam) >= 3 and lam.parts[2] >= 3:
+    parts = lam.parts
+    if len(parts) == 1 or parts[1] == 1:
+        return kron_two_hooks(nu, lam, mu) if lam.shape_code & _HOOK else 0
+    if len(parts) >= 3 and parts[2] >= 3:
         return 0
     dh = double_hook_parts(lam)
     if dh is None:  # remaining shapes are double hooks by elimination
@@ -314,8 +314,11 @@ def _closed_answer(found: tuple[_Variant, str], lam: Partition, mu: Partition,
     is checked to be nonnegative and the variant's moves are recorded."""
     variant, provenance = found
     shapes = (lam, mu, nu)
-    a, b, c = (shapes[s] if s < 3 else conjugate(shapes[s - 3]) for s in variant.sources)
-    gamma = _try_closed(provenance, a, b, c)
+    i, j, k = variant.sources
+    gamma = _try_closed(provenance,
+                        shapes[i] if i < 3 else conjugate(shapes[i - 3]),
+                        shapes[j] if j < 3 else conjugate(shapes[j - 3]),
+                        shapes[k] if k < 3 else conjugate(shapes[k - 3]))
     return KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, variant.moves)
 
 

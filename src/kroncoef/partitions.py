@@ -1,6 +1,11 @@
-"""Integer partitions and the structural readers (two-row, hook, double hook)
-that the closed formulas consume.  Each Partition carries the class code of
-its shape and its conjugate, read once by its constructor."""
+"""Integer partitions and the structural readers (two-row, hook, double hook).
+
+Each Partition carries the class code of its shape and its conjugate, read
+once by its constructor.  The three closed formulas that compute routes to
+check their shapes' classes from that code and read legs and second rows
+from the parts; of the readers they call only double_hook_parts.
+two_row_parts and hook_parts serve the Schur evaluations that certify the
+formulas, and two_row_parts the all-two-row corollary."""
 
 from __future__ import annotations
 
@@ -25,7 +30,8 @@ class Partition:
 
     ``shape_code`` holds the class bits of the shape and of its conjugate
     (see ``_shape_code``), set once by the constructor; the closed-form
-    dispatch and the CLI's family filters read them from this attribute.  Mutating ``parts`` is unsupported: besides the
+    dispatch, the closed kernels and the CLI's family filters read them
+    from this attribute.  Mutating ``parts`` is unsupported: besides the
     hash, it would leave ``shape_code`` and the conjugate that ``conjugate``
     memoizes on the instance stale.
     """

@@ -338,6 +338,40 @@ class TestHookTwoRow:
                         assert got in (0, 1, 2, 3)
 
 
+# Each kernel with the readers that decide, from (mu, nu), whether it refuses
+# the pair: it does exactly when one of its readers returns None.
+KERNEL_READERS = {
+    "two-row": (kron_two_tworow, two_row_parts, two_row_parts),
+    "hook-hook": (kron_two_hooks, hook_parts, hook_parts),
+    "hook-two-row": (kron_hook_tworow, hook_parts, two_row_parts),
+}
+
+
+@pytest.mark.parametrize("kernel, mu_reader, nu_reader", KERNEL_READERS.values(),
+                         ids=KERNEL_READERS)
+def test_kernel_refuses_exactly_the_pairs_its_readers_reject(kernel, mu_reader, nu_reader):
+    # every triple with n <= 8, n = 0 included; the shapes of each n hold the
+    # single column (1^n) and (n-1, 1), which is both a hook and two-row
+    refused = accepted = 0
+    for n in range(9):
+        shapes = list(enumerate_partitions(n))
+        assert make_partition([1] * n) in shapes
+        assert n < 2 or make_partition([n - 1, 1]) in shapes
+        for mu in shapes:
+            for nu in shapes:
+                rejects = mu_reader(mu) is None or nu_reader(nu) is None
+                for lam in shapes:
+                    try:
+                        kernel(lam, mu, nu)
+                    except ShapeMismatch:
+                        assert rejects, (lam, mu, nu)
+                        refused += 1
+                    else:
+                        assert not rejects, (lam, mu, nu)
+                        accepted += 1
+    assert refused and accepted
+
+
 class TestHookKernelsBeyondExhaustiveRange:
     def test_seeded_sample_vs_oracle(self):
         # three hook, three double-hook and three general lam per n, each

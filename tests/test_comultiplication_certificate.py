@@ -1,10 +1,12 @@
-"""The three closed forms certified at n = 20 and n = 200 by the identity
+"""The three closed forms certified at n = 20 and n <= 200 by the identity
 the source paper derives them from, the comultiplication expansion
 
     s_lam[XY] = sum over mu, nu of gamma(lam, mu, nu) s_mu[X] s_nu[Y],
 
-on two-letter alphabets X and Y, for every lam of 20 and for a slice of lam
-of 200 built from their parts, with gamma from compute.  Each side is read
+on two-letter alphabets X and Y, for every lam of 20, for a slice of lam
+of 200 built from their parts, and for lam of n <= 200 that hypothesis
+draws from the shape classes the kernels branch on, with gamma from
+compute.  Each side is read
 from the closed two-variable specializations of schur_eval, so no
 character sum is taken.  The identity is checked
 exactly at seeded sample points, drawn again for each lam, and again
@@ -22,6 +24,8 @@ those mu and nu only:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kroncoef import (
     SignedAlphabet,
@@ -43,6 +47,7 @@ from kroncoef.schur_eval import (
 )
 
 SEED = 20000104
+MAX_DRAWN_LAMBDAS = 30
 
 
 def s_difference(mu, x1, x2):
@@ -141,9 +146,13 @@ def sample_point(rng, letters):
 
 
 def assert_certified(family, n, lams):
-    """The identity holds on every lam, and compute answered it with the
-    family's kernel among its routes and never with the oracle."""
+    """The identity holds on every lam, and compute never answered it with
+    the oracle.  Once n >= 4 and some lam has two rows or more, the family's
+    kernel is among compute's routes: a one-row lam leaves every answer to
+    the delta rule, and below n = 4 the only shape with an arm and a leg,
+    (2, 1), is two-row, so the two-row form answers first."""
     kernel, mus_of, s_x, nus_of, s_y, letters, s_xy = FAMILIES[family]
+    lams = list(lams)
     mus, nus = mus_of(n), nus_of(n)
     rng = random.Random(SEED)
     failed = []
@@ -164,7 +173,9 @@ def assert_certified(family, n, lams):
         if s_xy(lam, plus, minus) != rhs:
             failed.append(lam)
     assert failed == []
-    assert kernel in provenances and ORACLE not in provenances
+    assert ORACLE not in provenances
+    if n >= 4 and any(len(lam) > 1 for lam in lams):
+        assert kernel in provenances
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -175,3 +186,34 @@ def test_comultiplication_certifies_the_closed_forms_at_n_20(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_comultiplication_certifies_the_closed_forms_at_n_200(family):
     assert_certified(family, 200, [make_partition(parts) for parts in LAMBDAS_AT_200[family]])
+
+
+@st.composite
+def kernel_lambdas(draw):
+    """A lam of n <= 200 from a shape class the kernels branch on: a hook
+    (one row and one column included), a double hook, or at most four rows."""
+    kind = draw(st.sampled_from(("hook", "double hook", "four rows")))
+    if kind == "hook":
+        n = draw(st.integers(1, 200))
+        leg = draw(st.integers(0, n - 1))
+        return make_partition([n - leg] + [1] * leg)
+    if kind == "double hook":
+        # (n4, n3, 2^d2, 1^d1) with n3 >= 2 and n4 = n3 + gap, of at most
+        # 60 + 40 + 40 + 60 = 200 cells.  The hook/two-row window's
+        # correction term can fire only when gap = d1, so that edge is drawn
+        # as often as every other gap together.
+        d1 = draw(st.integers(0, 60))
+        d2 = draw(st.integers(0, 20))
+        n3 = draw(st.integers(2, 20))
+        gap = draw(st.one_of(st.just(d1), st.integers(0, 60)))
+        return make_partition([n3 + gap, n3] + [2] * d2 + [1] * d1)
+    n = draw(st.integers(1, 200))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=3, max_size=3)))
+    return make_partition(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=MAX_DRAWN_LAMBDAS)
+@given(lam=kernel_lambdas())
+def test_comultiplication_certifies_the_closed_forms_on_drawn_lambdas(family, lam):
+    assert_certified(family, lam.n, [lam])
