@@ -1,8 +1,8 @@
 """Layer timings of the character oracle: the class table, one cold
 character row and one cold oracle query, for n = 14, 16, ..., 24, the
 in-process verification sweep that certifies the closed forms against it,
-the CLI's table of every triple of one n, and one warm call of each closed
-kernel.
+the CLI's table of every triple of one n, one warm call of each closed
+kernel, and one cold oracle query at each n of the frontier, 28 to 44.
 
     PYTHONPATH=src python scripts/bench_characters.py [--out BENCH_characters.json]
 
@@ -46,6 +46,13 @@ pass, and its time is divided by the number of triples.  The classes are
 read from the parts here, not from the package, so the triples timed do
 not depend on the code under test.
 
+Under ``oracle_frontier`` it records, for each n in FRONTIER_N, one cold
+``kron_oracle`` query on the five-row shapes of ``frontier_triple(n)``,
+each n in a child process of its own: the median and quartiles of REPS
+cold times in ms, the ``_strip_cache`` entries one query leaves and
+the child's peak resident set (``ru_maxrss``) in MB.  These are the
+figures an oracle size budget rests on.
+
 Only ``clear_cache``, ``_classes``, ``_char_row``, ``_strip_cache``,
 ``kron_oracle``, ``compute``, ``enumerate_partitions``, ``run_sweep``,
 ``SWEEP_FAMILIES``, ``cli.main`` and the three kernels
@@ -76,7 +83,10 @@ import json
 import os
 import platform
 import random
+import resource
 import statistics
+import subprocess
+import sys
 import time
 
 from kroncoef import (
@@ -94,6 +104,7 @@ from kroncoef.cli import SWEEP_FAMILIES, run_sweep
 REPS = 5
 SWEEP_N_MAX = (10, 12, 14)
 TABLE_N = (8, 9, 10)
+FRONTIER_N = (28, 32, 36, 40, 44)
 COMPUTE_N = 12
 COMPUTE_SAMPLE = 2000
 COMPUTE_SEED = 12
@@ -186,10 +197,42 @@ def kernel_warm_us() -> list[dict]:
     return rows
 
 
+def frontier_triple(n: int) -> list[tuple[int, ...]]:
+    """Three five-row shapes of n, no two alike: the first rows of the tails
+    (n//4, n//6, n//8, 1), (n//5, n//7, 2, 1) and (n//3, n//9, 1, 1)."""
+    tails = ((n // 4, n // 6, n // 8, 1), (n // 5, n // 7, 2, 1), (n // 3, n // 9, 1, 1))
+    return [(n - sum(tail),) + tail for tail in tails]
+
+
+def frontier_child(n: int) -> None:
+    """Print the oracle_frontier row of n; run in a process of its own."""
+    shapes = [make_partition(parts) for parts in frontier_triple(n)]
+    oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
+    entries = len(characters._strip_cache)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"n": n, "triple": [list(shape.parts) for shape in shapes],
+                      **summary("oracle_cold_ms", oracle_s, 1e3),
+                      "strip_cache_entries": entries, "peak_rss_mb": round(rss_mb, 1)}))
+
+
+def oracle_frontier() -> list[dict]:
+    rows = []
+    for n in FRONTIER_N:
+        child = subprocess.run([sys.executable, __file__, "--frontier-child", str(n)],
+                               capture_output=True, text=True, check=True)
+        rows.append(json.loads(child.stdout))
+        print(json.dumps(rows[-1]))
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="BENCH_characters.json")
+    parser.add_argument("--frontier-child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.frontier_child is not None:
+        frontier_child(args.frontier_child)
+        return
     rows = []
     for n, triple in TRIPLES.items():
         lam = triple[0]
@@ -223,12 +266,14 @@ def main() -> None:
     print(json.dumps(computes))
     kernels = {"n": COMPUTE_N, "by_kernel": kernel_warm_us()}
     print(json.dumps(kernels))
+    frontier = oracle_frontier()
     report = {"topic": "characters", "cache": "cold: clear_cache() before every repetition",
               "statistic": "median, with quartiles [q1, q3] under each *_quartiles key",
               "repetitions": REPS,
               "python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": rows,
               "sweep_inprocess_ms": sweeps, "table_cold_ms": tables,
-              "compute_warm_us": computes, "kernel_warm_us": kernels}
+              "compute_warm_us": computes, "kernel_warm_us": kernels,
+              "oracle_frontier": frontier}
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

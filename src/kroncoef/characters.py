@@ -8,24 +8,31 @@ length r moves one bead down r places onto a free position, with sign -1 to
 the number of beads it passes; a few shifts find every such bead, and
 ``int.bit_count`` gives the sign.  A bead at position 0 stands for a zero part,
 so the trailing run of one-bits is shifted off after each move, which gives
-every shape exactly one code.  Cycle types are held in the same code: the
-first part is ``bit_length - bit_count`` and clearing the top bit leaves the
-code of the remaining parts.  The recursion never leaves this form: the memo
-``_strip_cache`` is keyed by two bead codes (shape, cycle type), the strip
-moves of a shape are memoized per strip length in ``_strip_moves``, and
-``clear_cache`` drops both.  Everything stays in arbitrary-precision integers.
-This module is the independent ground truth the closed forms are tested against.
+every shape exactly one code.  The recursion runs over whole vectors, not
+single classes: V(w, a) holds chi^w at every cycle type of |w| with no part
+above a, one signed field per class packed into one int, and
+V(w, a) = V(w, a - 1) + (sum over the a-strips of w of +-V(child,
+min(a, |w| - a))) << (k * p(|w|, parts <= a - 1)), so each (shape, strip
+length) costs a few big-int additions.  The field width k depends on n alone
+(|chi^lam| <= f^lam <= sqrt(n!)) and is a whole number of bytes, so one
+byte decoder, ``_fields``, reads every field at once.  The memo
+``_strip_cache`` is keyed by (k, shape code) and holds the prefix list
+[V(w, 0), V(w, 1), ...]; the partition counts p(m, parts <= a) are memoized
+in ``_count``, and ``clear_cache`` drops both.  Everything stays in
+arbitrary-precision integers.  This module is the independent ground truth
+the closed forms are tested against.
 
 ``kron_oracle`` answers one triple.  ``kron_oracle_column`` answers one pair
 (mu, nu) for a whole list of lambdas, as a verification sweep and a (lambda,
 mu) block of the CLI's table need (gamma is symmetric, so the block's pair
 takes the first two slots and its nus the list): it packs
 chi^lam(rho) for every lambda into one int per class rho, one signed field of
-k bits each, and reads every n! * gamma off one big-int class sum.  gamma is
-at most the dimension f^lam, itself at most sqrt(n!), so k depends on n
-alone: the bit length of n! * (isqrt(n!) + 1) plus 2, and the fields never
-overlap; the packed columns are kept for one list of lambdas at a time, and
-``clear_cache`` drops them too.
+k bits each, and reads every n! * gamma off one big-int class sum with
+``_fields``.  gamma is at most the dimension f^lam, itself at most sqrt(n!),
+so k depends on n alone: the bit length of n! * (isqrt(n!) + 1) plus 2,
+rounded up to whole bytes, and the fields never overlap; the packed
+columns are kept for one list of lambdas at a time, and ``clear_cache``
+drops them too.
 """
 
 from __future__ import annotations
@@ -76,18 +83,13 @@ class KroneckerResult:
     moves: tuple[str, ...] = ()
 
 
-_strip_cache: dict[tuple[int, int], int] = {}
-_strip_moves: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+_strip_cache: dict[tuple[int, int], list[int]] = {}
 
 
 def _code(parts: tuple[int, ...]) -> int:
     """Bead set of a shape as the bits of one int: row i of an l-row shape puts
     a bead at position parts[i] + l - 1 - i.  The empty shape is 0, and bit 0
-    is never set, since the lowest bead sits at the last (positive) part.
-
-    Cycle types use the same code.  The top bead of rho sits at rho[0] + l - 1,
-    so rho[0] is r.bit_length() - r.bit_count(), and clearing that bit leaves
-    the code of rho[1:]: its beads keep their positions."""
+    is never set, since the lowest bead sits at the last (positive) part."""
     code, shift = 0, len(parts) - 1  # shift is l - 1 - i for row i
     for part in parts:
         code |= 1 << (part + shift)
@@ -95,83 +97,102 @@ def _code(parts: tuple[int, ...]) -> int:
     return code
 
 
-def _moves(w: int, strip: int) -> tuple[tuple[int, int], ...]:
-    """(child code, sign) for every border strip of length strip of the shape w,
-    memoized in _strip_moves.
-
-    Removing the strip moves one bead from a position b >= strip down to the
-    free position b - strip, so the beads that can move are
-    w & ~(w << strip) & ~((1 << strip) - 1), and the child is
-    w ^ (1 << b) ^ (1 << (b - strip)).  The sign is -1 to the number of beads
-    strictly between b - strip and b, the popcount of strip - 1 bits of w.  A
-    bead at position 0 stands for a zero part, so the trailing run of one-bits
-    is shifted off each child (~child & (child + 1) is the lowest free
-    position): every shape keeps one code, and the memo shares sub-shapes
-    reached along different routes."""
-    between = (1 << (strip - 1)) - 1
-    movable = w & ~(w << strip) & ~((1 << strip) - 1)
-    moves = []
-    while movable:
-        bead = movable & -movable
-        movable ^= bead
-        child = w ^ bead ^ (bead >> strip)
-        child >>= (~child & (child + 1)).bit_length() - 1
-        foot = bead.bit_length() - strip  # b - strip + 1
-        moves.append((child, -1 if ((w >> foot) & between).bit_count() & 1 else 1))
-    moves = _strip_moves[(w, strip)] = tuple(moves)
-    return moves
+@lru_cache(maxsize=None)
+def _count(m: int, a: int) -> int:
+    """p(m, parts <= a) for 0 <= a <= m: the number of partitions of m with no
+    part above a, and so the number of fields of V(w, a) for |w| = m.  It
+    sums over the number of parts equal to a, so it recurses a levels deep,
+    not m."""
+    if not a:
+        return 1 if not m else 0
+    return sum(_count(rest, min(a - 1, rest)) for rest in range(m, -1, -a))
 
 
-def _strip_sum(w: int, r: int) -> int:
-    """Murnaghan-Nakayama recursion on the bead sets w of a shape and r of a
-    nonempty cycle type (see _code), for a pair not yet in _strip_cache.
-
-    The moves of the first part's strip come from _moves; each child's memo
-    entry is read before recursing, and at the last part a child scores its
-    sign when it is the empty shape, with no call."""
-    top = r.bit_length()
-    strip, rest = top - r.bit_count(), r ^ (1 << (top - 1))
-    moves = _strip_moves.get((w, strip))
-    if moves is None:
-        moves = _moves(w, strip)
-    total = 0
-    if rest:
-        for child, sign in moves:
-            term = _strip_cache.get((child, rest))
-            if term is None:
-                term = _strip_sum(child, rest)
-            total += sign * term
-    else:
-        for child, sign in moves:
-            if not child:
-                total += sign
-    _strip_cache[(w, r)] = total
-    return total
+def _whole_bytes(bits: int) -> int:
+    """bits rounded up to a multiple of 8, the field widths _fields reads."""
+    return -(-bits // 8) * 8
 
 
-def _char_code(w: int, r: int) -> int:
-    """Character value of the shape with bead code w at the cycle type with
-    bead code r, read from the memo or computed by _strip_sum."""
-    if not r:
-        return 1 if not w else 0
-    cached = _strip_cache.get((w, r))
-    return _strip_sum(w, r) if cached is None else cached
+def _width(n: int) -> int:
+    """Field width of the character vectors of S_n: |chi^lam(rho)| <= f^lam
+    <= isqrt(n!) (the squares of the f^lam sum to n!), plus a sign bit."""
+    return _whole_bytes(math.isqrt(math.factorial(n)).bit_length() + 1)
+
+
+def _vector(k: int, w: int, m: int, a: int) -> int:
+    """V(w, a): chi^w at every cycle type of m = |w| with no part above a,
+    0 <= a <= m, one signed k-bit field each, in ascending lexicographic
+    order from the lowest field.
+
+    The cycle types with parts at most a are those with parts at most a - 1
+    followed by the (a, sigma) with sigma a cycle type of m - a with parts at
+    most min(a, m - a), so V(w, a) is V(w, a - 1) plus, shifted past its
+    p(m, parts <= a - 1) fields, the signed sum of V(child, min(a, m - a))
+    over the a-strips of w.  Removing a strip of length a moves one bead from
+    a position b >= a to the free position b - a, so the beads that can move
+    are w & ~(w << a) & ~((1 << a) - 1); the sign is -1 to the number of
+    beads strictly between.  A bead at position 0 stands for a zero part, so
+    the trailing run of one-bits is shifted off each child (~child &
+    (child + 1) is the lowest free position): every shape keeps one code.
+
+    _strip_cache[(k, w)] holds the prefix [V(w, 0), V(w, 1), ...], which
+    grows by complete entries only, so a RecursionError leaves nothing
+    partial behind.  A strip length whose strips sum to zero, or that has
+    none, repeats the entry before it, sharing its int."""
+    prefix = _strip_cache.get((k, w))
+    if prefix is None:
+        prefix = _strip_cache[(k, w)] = [0 if w else 1]
+    for strip in range(len(prefix), a + 1):
+        rest = m - strip
+        cap = strip if strip < rest else rest
+        between = (1 << (strip - 1)) - 1
+        movable = w & ~(w << strip) & ~((1 << strip) - 1)
+        total = 0
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            child = w ^ bead ^ (bead >> strip)
+            child >>= (~child & (child + 1)).bit_length() - 1
+            known = _strip_cache.get((k, child))
+            if known is not None and cap < len(known):
+                term = known[cap]
+            else:
+                term = _vector(k, child, rest, cap)
+            if ((w >> (bead.bit_length() - strip)) & between).bit_count() & 1:
+                total -= term
+            else:
+                total += term
+        prefix.append(prefix[-1] + (total << k * _count(m, strip - 1)) if total else prefix[-1])
+    return prefix[a]
 
 
 def character(lam: Partition, rho: Partition) -> int:
     """Character value of the irreducible indexed by lam at cycle type rho.
 
-    The strip recursion takes one level per part of rho, so a rho too long
-    for Python's recursion limit (1^1200, say) raises ValueError naming its
-    length and n; the memo keeps only complete entries, so later calls are
-    unaffected."""
+    It reads the field of rho in V(lam, rho[0]) (see _vector), which holds
+    lam's character at every cycle type with no part above rho[0], so its
+    cost grows with p(n, parts <= rho[0]).  The field of rho counts the
+    cycle types of n below it in ascending lexicographic order: at each part
+    rho[i], the p(rest, parts <= rho[i] - 1) of the remaining size that start
+    lower.  Building V(lam, a) for a >= 1 recurses once per cell down a
+    chain of 1-strips, n levels deep, so past Python's recursion limit (at
+    rho = 1^1200, say) it raises ValueError naming the length of rho and n;
+    the memo keeps only complete entries, so later calls are unaffected."""
     if lam.n != rho.n:
         raise SizeMismatch(f"|{lam}| = {lam.n} but |{rho}| = {rho.n}")
+    n, k = rho.n, _width(rho.n)
+    a = rho.parts[0] if n else 0
     try:
-        return _char_code(_code(lam.parts), _code(rho.parts))
+        vector = _vector(k, _code(lam.parts), n, a)
     except RecursionError:
-        raise ValueError(f"cycle type of length {len(rho)} at n = {rho.n} is "
-                         "too long for the strip recursion") from None
+        raise ValueError(f"cycle type of length {len(rho)} at n = {n}: the strip "
+                         "recursion runs n levels deep, past the recursion limit") from None
+    below, rest = 0, n
+    for part in rho.parts:
+        below += _count(rest, part - 1)
+        rest -= part
+    count = _count(n, a)
+    return _fields(vector, k, count)[count - 1 - below]
 
 
 def dimension(lam: Partition) -> int:
@@ -195,9 +216,11 @@ def _classes(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Character values of lam across all classes of S_n, aligned with _classes(n)."""
-    code = _code(lam)
-    return tuple(_char_code(code, r) for _, r, _ in _classes(n))
+    """Character values of lam across all classes of S_n, aligned with
+    _classes(n): the fields of V(lam, n) (see _vector), read from the top,
+    since _classes(n) runs in reverse lexicographic order."""
+    k = _width(n)
+    return tuple(_fields(_vector(k, _code(lam), n, n), k, _count(n, n)))
 
 
 @lru_cache(maxsize=1)  # callers run the third shape innermost
@@ -213,58 +236,58 @@ def _pair_weights(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> tuple[in
 
 
 def _pack(values: Sequence[int], k: int) -> int:
-    """values[i] in field i (bits k*i up to k*(i+1)) of one int, each field
-    signed: the int is sum of values[i] << (k*i), exactly."""
+    """values[i] in field len(values) - 1 - i of one int, values[0] on top,
+    each field k bits wide and signed: the int is the sum of
+    values[i] << (k * (len(values) - 1 - i)), exactly."""
     packed = 0
-    for value in reversed(values):
+    for value in values:
         packed = (packed << k) + value
     return packed
 
 
-def _unpack(packed: int, k: int, count: int) -> list[int]:
-    """The count signed k-bit fields of packed, lowest first; the inverse of
-    _pack when every field lies strictly between -2**(k-1) and 2**(k-1).  A
-    field with its top bit set is negative, and taking it off before the
-    shift returns its borrow to the field above."""
-    mask, top, full = (1 << k) - 1, 1 << (k - 1), 1 << k
-    fields = []
-    for _ in range(count):
-        field = packed & mask
-        if field & top:
-            field -= full
-        fields.append(field)
-        packed = (packed - field) >> k
-    return fields
+def _fields(packed: int, k: int, count: int) -> list[int]:
+    """The count signed k-bit fields of packed, k a multiple of 8, top field
+    first; the inverse of _pack when every field lies in
+    [-2**(k-1), 2**(k-1)).  Adding 2**(k-1) to every field makes each one
+    nonnegative, so no field borrows from the next; flipping the top bit of
+    each back leaves every field in two's complement, and each is read from
+    the big-endian bytes as a signed int."""
+    size, from_bytes = k >> 3, int.from_bytes  # one lookup, not one per field
+    bias = from_bytes((b"\x80" + bytes(size - 1)) * count, "big")
+    data = ((packed + bias) ^ bias).to_bytes(size * count, "big")
+    return [from_bytes(data[i:i + size], "big", signed=True)
+            for i in range(0, size * count, size)]
 
 
 @lru_cache(maxsize=1)  # a sweep worker keeps one share of shapes per n
 def _packed_columns(share: tuple[tuple[int, ...], ...], n: int) -> tuple[int, tuple[int, ...]]:
     """Field width k, and chi^lam(rho) for every lam of the share packed into
-    one int per class rho of S_n (field i holds share[i]; see _pack), aligned
-    with _classes(n).
+    one int per class rho of S_n (share[0] in the top field; see _pack),
+    aligned with _classes(n).
 
     k is wide enough for every class sum these columns enter, and depends on
     n alone.  With |chi^lam(rho)| <= f^lam, Cauchy-Schwarz and row
     orthogonality give n! * gamma <= f^lam * n!, so gamma <= f^lam; the sum of
     (f^lam)**2 over lam is n!, so f^lam <= isqrt(n!).  Hence
     0 <= n! * gamma <= n! * isqrt(n!), and k is the bit_length of
-    n! * (isqrt(n!) + 1) plus 2: 35, 57 and 94 bits at n = 10, 14 and 20."""
+    n! * (isqrt(n!) + 1) plus 2, rounded up to whole bytes for _fields: 40,
+    64 and 96 bits at n = 10, 14 and 20."""
     for parts in share:
         if sum(parts) != n:
             raise SizeMismatch(f"|{parts}| = {sum(parts)} but the pair has size {n}")
     nf = math.factorial(n)
-    k = (nf * (math.isqrt(nf) + 1)).bit_length() + 2
+    k = _whole_bytes((nf * (math.isqrt(nf) + 1)).bit_length() + 2)
     rows = [_char_row(lam, n) for lam in share]
     return k, tuple(_pack(column, k) for column in zip(*rows))
 
 
 def clear_cache() -> None:
-    """Drop all memoized character data: the strip memo, the strip-move memo,
-    the class table, the character rows, the one-entry pair-weight cache and
-    the one-entry packed columns of kron_oracle_column; callers sweeping many
-    n may use this between sizes to bound memory."""
+    """Drop all memoized character data: the vector memo, the partition
+    counts, the class table, the character rows, the one-entry pair-weight
+    cache and the one-entry packed columns of kron_oracle_column; callers
+    sweeping many n may use this between sizes to bound memory."""
     _strip_cache.clear()
-    _strip_moves.clear()
+    _count.cache_clear()
     _classes.cache_clear()
     _char_row.cache_clear()
     _pair_weights.cache_clear()
@@ -303,7 +326,8 @@ def kron_oracle_column(mu: Partition, nu: Partition, lams: Sequence[Partition]) 
     The class weights |C_rho| * chi^mu * chi^nu come from _pair_weights once.
     _packed_columns holds chi^lam(rho) for every lam of lams in one signed
     k-bit field of one int per class, so one big-int sum over the classes
-    carries n! * gamma(lam, mu, nu) in field i for lams[i]; k bounds every
+    carries n! * gamma(lam, mu, nu) in the field of each lam, which _fields
+    reads back in the order of lams; k bounds every
     such sum (see _packed_columns), so the signed fields never overlap.  The
     columns are kept for one share at a time: a caller running many (mu, nu)
     pairs against the same lams builds them once, as a sweep worker does
@@ -316,7 +340,7 @@ def kron_oracle_column(mu: Partition, nu: Partition, lams: Sequence[Partition]) 
     total = sum(map(mul, _pair_weights(mu.parts, nu.parts, n), columns))
     nf = math.factorial(n)
     gammas = []
-    for lam, field in zip(lams, _unpack(total, k, len(lams))):
+    for lam, field in zip(lams, _fields(total, k, len(lams))):
         gamma, rest = divmod(field, nf)
         if rest:
             raise IntegralityViolation(

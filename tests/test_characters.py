@@ -23,8 +23,10 @@ from kroncoef.characters import (
     _char_row,
     _classes,
     _code,
+    _count,
+    _fields,
     _pack,
-    _unpack,
+    _width,
     clear_cache,
     kron_oracle_column,
 )
@@ -134,8 +136,8 @@ def test_code_has_one_bead_per_row_and_no_bead_at_zero():
 
 
 def test_cycle_type_code_decodes_to_first_part_and_rest():
-    # the kernel reads rho[0] as bit_length - bit_count and rho[1:] as the code
-    # with its top bit cleared
+    # the class table records each cycle type's code: rho[0] is its
+    # bit_length - bit_count and rho[1:] its code with the top bit cleared
     for n in range(1, 21):
         for rho in enumerate_partitions(n):
             r = _code(rho.parts)
@@ -147,15 +149,19 @@ def test_cycle_type_code_decodes_to_first_part_and_rest():
     assert _char_row((), 0) == (1,)
 
 
+def general_shapes(n):
+    """Shapes of n with three or more rows, lam_2 >= 3 and lam_3 >= 2."""
+    return [p.parts for p in enumerate_partitions(n)
+            if len(p) >= 3 and p[1] >= 3 and p[2] >= 2]
+
+
 def test_cold_char_rows_match_beta_number_reference():
-    # seeded general shapes (three or more rows, lam_2 >= 3, lam_3 >= 2), each
-    # row computed from empty memos and compared class by class
+    # seeded general shapes, each row computed from empty memos and compared
+    # class by class
     rng = random.Random(20001084)
     rows = 0
-    for n in range(13, 17):
-        general = [p.parts for p in enumerate_partitions(n)
-                   if len(p) >= 3 and p[1] >= 3 and p[2] >= 2]
-        for lam in rng.sample(general, 3):
+    for n in (13, 14, 15, 16, 17, 20, 24):
+        for lam in rng.sample(general_shapes(n), 3):
             clear_cache()
             row = _char_row(lam, n)
             classes = _classes(n)
@@ -163,7 +169,31 @@ def test_cold_char_rows_match_beta_number_reference():
             for value, (rho, _, _) in zip(row, classes):
                 assert value == reference_char(lam, rho), (lam, rho)
             rows += 1
-    assert rows == 12
+    assert rows == 21
+
+
+def test_cold_char_rows_are_orthonormal_and_twist_by_sign_at_17_to_24():
+    # two seeded general shapes per n and the conjugate of the first, each
+    # row computed from empty memos: the rows are orthonormal under the
+    # class sizes, and the conjugate's row is the first row times sgn(rho)
+    rng = random.Random(20001084)
+    for n in range(17, 25):
+        lam, mu = rng.sample(general_shapes(n), 2)
+        lam_c = conjugate(make_partition(lam)).parts
+        rows = {}
+        for shape in (lam, mu, lam_c):
+            clear_cache()
+            rows[shape] = _char_row(shape, n)
+        classes = _classes(n)
+
+        def dot(a, b):
+            return sum(size * x * y for (_, _, size), x, y in zip(classes, a, b))
+
+        nf = math.factorial(n)
+        assert dot(rows[lam], rows[lam]) == nf and dot(rows[mu], rows[mu]) == nf, n
+        assert dot(rows[lam], rows[mu]) == 0, n
+        signs = [(-1) ** (n - len(rho)) for rho, _, _ in classes]
+        assert rows[lam_c] == tuple(sign * x for sign, x in zip(signs, rows[lam])), n
 
 
 def test_class_table_matches_one_built_from_partitions():
@@ -201,31 +231,54 @@ def test_strip_to_the_empty_shape_is_shifted_to_zero():
     assert character(make_partition([1, 1, 1]), make_partition([3])) == 1
 
 
-def test_bottom_cell_of_21_leaves_the_code_of_2():
-    # the bead of the bottom cell moves 1 -> 0; shifting off that zero part
-    # leaves one bead at 2, the code of (2); cycle types are keyed by their
-    # codes too: (1,1,1) is 0b1110, (1,1) is 0b110 and (1) is 0b10
+def test_vector_memo_of_21_is_keyed_by_width_and_code():
+    # (2,1) has beads at 3 and 1, code 0b1010; at n = 3 the fields are 8 bits
+    # wide.  Its two 1-strips leave (2) and (1,1), each of whose 1-strip
+    # leaves (1), whose 1-strip leaves the empty shape, code 0
     clear_cache()
+    assert _width(3) == 8
     assert character(make_partition([2, 1]), make_partition([1, 1, 1])) == 2
-    assert _code((2,)) == 0b100
-    assert (0b100, 0b110) in characters._strip_cache
-    assert set(characters._strip_cache) == {(0b1010, 0b1110), (0b110, 0b110),
-                                            (0b100, 0b110), (0b10, 0b10)}
-    # the two 1-strips of (2,1): its bottom cell, leaving (2), and its top
-    # right cell, leaving (1,1); neither passes a bead
-    assert characters._strip_moves[(0b1010, 1)] == ((0b100, 1), (0b110, 1))
+    assert set(characters._strip_cache) == {(8, 0b1010), (8, 0b100), (8, 0b110),
+                                            (8, 0b10), (8, 0)}
+    assert characters._strip_cache[(8, 0b1010)] == [0, 2]
+    # the whole row adds V(w, 2) and V(w, 3): no 2-strip, so the field of (2,1)
+    # is 0 and V(w, 2) = V(w, 1); the 3-strip moves bead 3 -> 0 past bead 1,
+    # so the field of (3), shifted past p(3, parts <= 2) = 2 fields, is -1
+    assert _char_row((2, 1), 3) == (-1, 0, 2)
+    assert characters._strip_cache[(8, 0b1010)] == [0, 2, 2, 2 - (1 << 16)]
+    assert _fields(2 - (1 << 16), 8, 3) == [-1, 0, 2]
 
 
-@pytest.mark.parametrize("triple, gamma, entries", [
-    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 1222),
-    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 2383),
-    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 4247),
+def sub_shapes(parts, cap):
+    """Every shape whose diagram lies inside that of parts, with no part
+    above cap, as part tuples."""
+    yield ()
+    if parts:
+        for first in range(1, min(parts[0], cap) + 1):
+            for rest in sub_shapes(parts[1:], first):
+                yield (first,) + rest
+
+
+@pytest.mark.parametrize("triple, gamma, shapes, vectors", [
+    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 137, 489),
+    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 202, 747),
+    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 271, 1042),
 ])
-def test_cold_oracle_strip_cache_size(triple, gamma, entries):
-    # one cold query fills the strip memo with exactly these many (lam, rho) entries
+def test_cold_oracle_strip_cache_size(triple, gamma, shapes, vectors):
+    # one cold query keys the vector memo by (width, code) for exactly these
+    # many sub-shapes of its three shapes, holding these many prefix vectors
+    # in all, none longer than the sub-shape's size plus one; a strip length
+    # that adds nothing shares the int of the entry before it
     clear_cache()
     assert kron_oracle(*(make_partition(p) for p in triple)).gamma == gamma
-    assert len(characters._strip_cache) == entries
+    n = sum(triple[0])
+    sizes = {_code(shape): sum(shape) for p in triple for shape in sub_shapes(p, n)}
+    assert len(characters._strip_cache) == shapes
+    assert sum(map(len, characters._strip_cache.values())) == vectors
+    for (k, code), prefix in characters._strip_cache.items():
+        assert k == _width(n) and code in sizes
+        assert len(prefix) <= sizes[code] + 1
+        assert all(b is a for a, b in zip(prefix, prefix[1:]) if a == b)
 
 
 def test_dimensions():
@@ -359,14 +412,13 @@ def test_clear_cache_drops_packed_columns():
     assert characters._packed_columns.cache_info().currsize == 0
 
 
-def test_clear_cache_drops_strip_moves():
+def test_clear_cache_drops_the_vector_memo_and_the_counts():
     lam, mu, nu = (make_partition(p) for p in ([3, 2, 1], [4, 2], [3, 3]))
     clear_cache()
     kron_oracle(lam, mu, nu)
-    moves = len(characters._strip_moves)
-    assert 0 < moves <= len(characters._strip_cache)
+    assert characters._strip_cache and _count.cache_info().currsize
     clear_cache()
-    assert not characters._strip_moves and not characters._strip_cache
+    assert not characters._strip_cache and not _count.cache_info().currsize
 
 
 def test_integrality_violation_fires_on_a_cache_hit(monkeypatch):
@@ -432,28 +484,31 @@ def test_oracle_column_matches_oracle_beyond_exhaustive_range():
 
 def test_pack_round_trips_signed_fields_at_the_width_limit():
     rng = random.Random(20001084)
-    for k in (4, 36, 57, 94):
+    for k in (8, 40, 64, 96):
         edge = (1 << (k - 1)) - 1
-        values = [edge, -edge, 0, -1, 1, -edge, -edge, edge, 0]
-        values += [rng.randint(-edge, edge) for _ in range(40)]
+        values = [edge, -edge - 1, 0, -1, 1, -edge, -edge - 1, edge, 0]
+        values += [rng.randint(-edge - 1, edge) for _ in range(40)]
         for cut in range(len(values) + 1):
-            assert _unpack(_pack(values[:cut], k), k, cut) == values[:cut], (k, cut)
+            assert _fields(_pack(values[:cut], k), k, cut) == values[:cut], (k, cut)
         # a weighted sum of packed ints carries the weighted sum of each field
         weights = [rng.randint(-3, 3) for _ in range(5)]
         rows = [[rng.randint(-(edge // 16), edge // 16) for _ in range(7)] for _ in weights]
         total = sum(w * _pack(row, k) for w, row in zip(weights, rows))
-        assert _unpack(total, k, 7) == [sum(w * row[i] for w, row in zip(weights, rows))
-                                         for i in range(7)]
+        assert _fields(total, k, 7) == [sum(w * row[i] for w, row in zip(weights, rows))
+                                        for i in range(7)]
 
 
 def test_packed_field_width_bound():
     # the width covers n! * (isqrt(n!) + 1) with a sign bit to spare, because
     # 0 <= gamma <= f^lam <= isqrt(n!); it depends on n alone
-    assert [characters._packed_columns(((n,),), n)[0] for n in (10, 14, 20)] == [35, 57, 94]
+    assert [characters._packed_columns(((n,),), n)[0] for n in (10, 14, 20)] == [40, 64, 96]
     for n in range(1, 25):
         nf = math.factorial(n)
         k = characters._packed_columns(((n,),), n)[0]
-        assert nf * (math.isqrt(nf) + 1) < 2 ** (k - 1), n
+        assert nf * (math.isqrt(nf) + 1) < 2 ** (k - 1) and k % 8 == 0, n
+        # the character fields hold +-isqrt(n!), and so every character value
+        k = _width(n)
+        assert math.isqrt(nf) < 2 ** (k - 1) and k % 8 == 0, n
     for n in range(13):
         nf = math.factorial(n)
         shapes = list(enumerate_partitions(n))
