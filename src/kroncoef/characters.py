@@ -18,9 +18,11 @@ length) costs a few big-int additions.  The field width k depends on n alone
 byte decoder, ``_fields``, reads every field at once.  The memo
 ``_strip_cache`` is keyed by (k, shape code) and holds the prefix list
 [V(w, 0), V(w, 1), ...]; the partition counts p(m, parts <= a) are memoized
-in ``_count``, and ``clear_cache`` drops both.  Everything stays in
-arbitrary-precision integers.  This module is the independent ground truth
-the closed forms are tested against.
+in ``_count``, and ``clear_cache`` drops both.  Bead codes are for shapes
+only: the class table ``_classes(n)`` holds (rho, |C_rho| = n!/z_rho) for
+each cycle type rho of S_n, in the reverse lexicographic order of every
+character row.  Everything stays in arbitrary-precision integers.  This
+module is the independent ground truth the closed forms are tested against.
 
 ``kron_oracle`` answers one triple.  ``kron_oracle_column`` answers one pair
 (mu, nu) for a whole list of lambdas, as a verification sweep and a (lambda,
@@ -207,11 +209,11 @@ def dimension(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """Cycle types of S_n with their bead codes (see _code) and class sizes
-    n!/z_rho, in enumeration order."""
+def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Cycle types rho of S_n with their class sizes n!/z_rho, in enumeration
+    (reverse lexicographic) order."""
     nf = math.factorial(n)
-    return tuple((rho, _code(rho), nf // z_of(rho)) for rho in _partition_tuples(n))
+    return tuple((rho, nf // z_of(rho)) for rho in _partition_tuples(n))
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +233,7 @@ def _pair_weights(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> tuple[in
     kron_oracle_column forms it once per call, for its pair."""
     return tuple(
         size * a * b
-        for (_, _, size), a, b in zip(_classes(n), _char_row(lam, n), _char_row(mu, n))
+        for (_, size), a, b in zip(_classes(n), _char_row(lam, n), _char_row(mu, n))
     )
 
 

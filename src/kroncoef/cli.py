@@ -15,9 +15,7 @@ oracle.
 Each command imports only what it uses, so a start pays for no other
 command's modules: concurrent.futures with multiprocessing loads only in a
 verify sweep on more than one worker, and schur_eval with fractions only in
-selftest.  On a 2-CPU host under Python 3.11 this took kronbench's setup_s
-(one scaled compute start) from 0.098 s to 0.076 s, medians of ten
-alternating pairs.
+selftest.
 """
 
 from __future__ import annotations

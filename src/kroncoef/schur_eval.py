@@ -101,7 +101,7 @@ def schur_eval_characters(lam: Partition, alphabet: SignedAlphabet) -> Fraction:
     n = lam.n
     powers = {r: power_sum_eval(r, alphabet) for r in range(1, n + 1)}
     total = Fraction(0)
-    for (rho, _, size), chi in zip(_classes(n), _char_row(lam.parts, n)):
+    for (rho, size), chi in zip(_classes(n), _char_row(lam.parts, n)):
         if chi:
             total += math.prod((powers[part] for part in rho), start=Fraction(size * chi))
     return total / math.factorial(n)

@@ -135,14 +135,7 @@ def test_code_has_one_bead_per_row_and_no_bead_at_zero():
             assert not code & 1, lam
 
 
-def test_cycle_type_code_decodes_to_first_part_and_rest():
-    # the class table records each cycle type's code: rho[0] is its
-    # bit_length - bit_count and rho[1:] its code with the top bit cleared
-    for n in range(1, 21):
-        for rho in enumerate_partitions(n):
-            r = _code(rho.parts)
-            assert r.bit_length() - r.bit_count() == rho.parts[0], rho
-            assert r ^ (1 << (r.bit_length() - 1)) == _code(rho.parts[1:]), rho
+def test_empty_shape_has_code_zero_and_the_one_class_row():
     clear_cache()
     assert _code(()) == 0
     assert character(make_partition([]), make_partition([])) == 1
@@ -166,7 +159,7 @@ def test_cold_char_rows_match_beta_number_reference():
             row = _char_row(lam, n)
             classes = _classes(n)
             assert len(row) == len(classes)
-            for value, (rho, _, _) in zip(row, classes):
+            for value, (rho, _) in zip(row, classes):
                 assert value == reference_char(lam, rho), (lam, rho)
             rows += 1
     assert rows == 21
@@ -187,23 +180,30 @@ def test_cold_char_rows_are_orthonormal_and_twist_by_sign_at_17_to_24():
         classes = _classes(n)
 
         def dot(a, b):
-            return sum(size * x * y for (_, _, size), x, y in zip(classes, a, b))
+            return sum(size * x * y for (_, size), x, y in zip(classes, a, b))
 
         nf = math.factorial(n)
         assert dot(rows[lam], rows[lam]) == nf and dot(rows[mu], rows[mu]) == nf, n
         assert dot(rows[lam], rows[mu]) == 0, n
-        signs = [(-1) ** (n - len(rho)) for rho, _, _ in classes]
+        signs = [(-1) ** (n - len(rho)) for rho, _ in classes]
         assert rows[lam_c] == tuple(sign * x for sign, x in zip(signs, rows[lam])), n
 
 
-def test_class_table_matches_one_built_from_partitions():
+def test_class_table_matches_one_built_from_partitions(monkeypatch):
     # the class table reads part tuples; the same table built from
     # Partitions, as it once was, must agree entry for entry
     for n in range(21):
         nf = math.factorial(n)
-        built = tuple((rho.parts, _code(rho.parts), nf // z_of(rho))
-                      for rho in enumerate_partitions(n))
+        built = tuple((rho.parts, nf // z_of(rho)) for rho in enumerate_partitions(n))
         assert _classes(n) == built, n
+    # bead codes are for shapes only: a cold class table encodes no cycle type
+    coded = []
+    monkeypatch.setattr(characters, "_code", lambda parts: coded.append(parts) or _code(parts))
+    clear_cache()
+    _classes(18)
+    assert coded == []
+    character(make_partition([2, 1]), make_partition([3]))
+    assert coded  # the counter sees the vector lookup
 
 
 def test_cold_oracle_and_class_table_build_no_partition(monkeypatch):
@@ -362,7 +362,7 @@ def classwise_sum(lam, mu, nu):
     """The oracle's character sum written out, one class at a time."""
     n = lam.n
     total = 0
-    for parts, _, size in _classes(n):
+    for parts, size in _classes(n):
         rho = make_partition(parts)
         total += size * character(lam, rho) * character(mu, rho) * character(nu, rho)
     gamma, rest = divmod(total, math.factorial(n))
@@ -514,7 +514,7 @@ def test_packed_field_width_bound():
         shapes = list(enumerate_partitions(n))
         assert max(dimension(lam) for lam in shapes) <= math.isqrt(nf), n
         rows = [_char_row(lam.parts, n) for lam in shapes]
-        for j, (_, _, size) in enumerate(_classes(n)):
+        for j, (_, size) in enumerate(_classes(n)):
             z = nf // size
             assert sum(row[j] ** 2 for row in rows) == z
             assert max(abs(row[j]) for row in rows) <= math.isqrt(z)
