@@ -12,6 +12,11 @@ certifies each family through the form compute uses: the pairs its row of
 CLOSED_FORMS selects, valued by closed_forms._try_closed, against the
 oracle.
 
+Click only parses the arguments: every command writes its lines with print,
+to sys.stdout, and compute's error lines to sys.stderr.  verify and selftest
+flush each line, so a piped sweep reports each family as it finishes; table
+rows and compute's lines are buffered.
+
 Each command imports only what it uses, so a start pays for no other
 command's modules: concurrent.futures with multiprocessing loads only in a
 verify sweep on more than one worker, and schur_eval with fractions only in
@@ -120,19 +125,19 @@ def cmd_compute(lam, mu, nu, method, fmt):
     try:
         result, elapsed_us = _timed_compute(lam, mu, nu, method)
     except SizeMismatch as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(3)
     except NoClosedFormApplicable as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
     if fmt == "json":
-        click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
+        print(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
     elif fmt == "csv":
         _csv_writer().writerow(_csv_fields(str(lam), str(mu), str(nu), result))
     else:
-        click.echo(f"gamma = {result.gamma}")
-        click.echo(f"provenance = {result.provenance}")
-        click.echo(f"moves = {' '.join(result.moves) if result.moves else '(none)'}")
+        print(f"gamma = {result.gamma}")
+        print(f"provenance = {result.provenance}")
+        print(f"moves = {' '.join(result.moves) if result.moves else '(none)'}")
 
 
 def _family_sides(shapes, family):
@@ -244,10 +249,10 @@ def cmd_table(n, family, fmt):
             for mu in mus:
                 for nu in nus:
                     result, elapsed_us = _timed_compute(lam, mu, nu, AUTO)
-                    click.echo(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
+                    print(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
         return
     # labels are formed once per table; rows stream out a (lam, mu) block at
-    # a time, one write each
+    # a time, one line each
     blocks = ((lam, mu, _compute_block(lam, mu, nus)) for lam in shapes for mu in mus)
     labels = {p: str(p) for p in shapes}
     if fmt == "csv":
@@ -262,7 +267,7 @@ def cmd_table(n, family, fmt):
     for lam, mu, results in blocks:
         head = f"{labels[lam] or '-':>16}  {labels[mu] or '-':>12}  "
         for nu_cell, result in zip(nu_cells, results):
-            click.echo(f"{head}{nu_cell}  {result.gamma:>4}  {result.provenance}")
+            print(f"{head}{nu_cell}  {result.gamma:>4}  {result.provenance}")
 
 
 @main.command("verify")
@@ -280,16 +285,16 @@ def cmd_verify(family, n_max, jobs, fmt):
     for fam in families:
         report = run_sweep(fam, n_max, jobs)
         if fmt == "json":
-            click.echo(json.dumps(asdict(report)))
+            print(json.dumps(asdict(report)), flush=True)
         else:
             status = "ok" if not report.mismatches else "MISMATCH"
-            click.echo(
+            print(
                 f"family={fam} n<={n_max} triples={report.triples_checked} "
                 f"mismatches={len(report.mismatches)} max_gamma={report.max_gamma} "
-                f"elapsed_ms={report.elapsed_ms} {status}"
+                f"elapsed_ms={report.elapsed_ms} {status}", flush=True
             )
             for bad in report.mismatches:
-                click.echo(f"  offending triple: {bad}")
+                print(f"  offending triple: {bad}", flush=True)
         failed = failed or bool(report.mismatches)
     sys.exit(1 if failed else 0)
 
@@ -362,7 +367,7 @@ def cmd_selftest(seed):
     """Quick identity battery; one pass/fail line per check."""
     failed = False
     for name, ok in _selftest_checks(seed):
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {name}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}", flush=True)
         failed = failed or not ok
     sys.exit(1 if failed else 0)
 

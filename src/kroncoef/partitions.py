@@ -58,12 +58,6 @@ class Partition:
     def __getitem__(self, i: int) -> int:
         return self.parts[i]
 
-    def pad(self, length: int) -> tuple[int, ...]:
-        """Parts extended with zeros to exactly ``length`` entries."""
-        if length < len(self.parts):
-            raise ValueError(f"cannot pad {self} to {length} parts")
-        return self.parts + (0,) * (length - len(self.parts))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 

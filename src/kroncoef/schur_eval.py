@@ -144,7 +144,7 @@ def schur_eval_bialternant(lam: Partition, alphabet: SignedAlphabet) -> Fraction
         raise RepeatedValue(f"alphabet values must be pairwise distinct: {xs}")
     if m < len(lam):
         raise ValueError(f"alphabet of size {m} cannot carry {lam!r}")
-    padded = lam.pad(m)
+    padded = lam.parts + (0,) * (m - len(lam))
     matrix = [[x ** (padded[j] + m - 1 - j) for j in range(m)] for x in xs]
     vandermonde = Fraction(1)
     for i in range(m):

@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import gc
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 
 import pytest
@@ -454,3 +459,92 @@ class TestImportHygiene:
                              check=True, env=env).stdout
         assert json.loads(out) == {"loaded": [], "not_listed": [], "unbound": [],
                                    "same": True, "unknown": "AttributeError"}
+
+
+def _transcript(argv):
+    """Exit code, stdout and stderr of one invocation as bytes, with every
+    elapsed_ms and elapsed_us value (JSON key or plain field) blanked."""
+    result = invoke(*argv)
+    raw = b"exit %d\n%s--- stderr\n%s" % (result.exit_code, result.stdout_bytes,
+                                          result.stderr_bytes)
+    return re.sub(rb'(elapsed_(?:ms|us)(?:": |=))\d+', rb"\1_", raw)
+
+
+CONTRACT_TRIPLES = [  # TwoRowTwoRow, HookHook, HookTwoRow and DeltaRule after moves, Oracle
+    ("4,3,1", "6,2", "5,3"), ("3,2,1", "4,1,1", "3,1,1,1"), ("4,2", "3,1,1,1", "2,2,1,1"),
+    ("2,2,1,1", "1,1,1,1,1,1", "2,2,1,1"), ("3,2,1", "3,2,1", "3,2,1"),
+]
+
+# Each case is a list of invocations whose transcripts are hashed together.
+CONTRACT_CASES = {
+    "table-csv": [("table", "--n", str(n), "--family", family, "--format", "csv")
+                  for n in range(1, 9) for family in cli.FAMILIES],
+    "table-plain": [("table", "--n", "6", "--family", "all")],
+    "table-json": [("table", "--n", "6", "--family", "all", "--format", "json")],
+    **{f"compute-{fmt}": [("compute", "--lambda", lam, "--mu", mu, "--nu", nu, "--format", fmt)
+                          for lam, mu, nu in CONTRACT_TRIPLES]
+       for fmt in ("plain", "json", "csv")},
+    "exit-1": [("compute", "--lambda", "3,3,3", "--mu", "3,3,3", "--nu", "3,3,3",
+                "--method", "closed")],
+    "exit-2": [("compute", "--lambda", "4,x", "--mu", "2,2", "--nu", "2,2"),
+               ("table", "--n", "0"), ("verify", "--n-max", "3", "--jobs", "0")],
+    "exit-3": [("compute", "--lambda", "4", "--mu", "2,2", "--nu", "3,2")],
+    "verify-plain": [("verify", "--family", "all", "--n-max", "8")],
+    "verify-json": [("verify", "--family", "all", "--n-max", "8", "--format", "json")],
+    "selftest": [("selftest",)],
+}
+
+
+def contract_digest(case):
+    """SHA-256 of the transcripts of one CONTRACT_CASES entry, in order."""
+    return hashlib.sha256(b"".join(map(_transcript, CONTRACT_CASES[case]))).hexdigest()
+
+
+class TestOutputBytes:
+    # the bytes the commands write are their contract, whatever writes them;
+    # elapsed times are blanked by _transcript
+    DIGESTS = {
+        "compute-csv": "74182d393b3b7b35ad8e11bfdd6fd2a7ef6fc3cd8f15f09ef2fdc4d700a94a81",
+        "compute-json": "c830c7a1fbd88822c0cf157051bdb3d48a6035e4dfdd23805b305d390b1c21ab",
+        "compute-plain": "e01877d602da1a2f2979620d58259cfa1225bff5f03f1f2c9d3899fce49d20b6",
+        "exit-1": "97dd417b75581c25df484b29b9db80dd6bacbf7ca8013252fc82acfb0f0ebf17",
+        "exit-2": "1ee52cd711f4e8b7716b05d0f7c6350d0aca2b90c095a265b51d1722529b4eda",
+        "exit-3": "e78c16e48fb13ef1550695ccc7f0003816aa08509428584cdd7a1882a64bf79d",
+        "selftest": "82e619611acb7f2230199e36030fbe0e6c70e5d335dd287a89980ebcd8a99016",
+        "table-csv": "5a38b70c9c44e1da04b7363bae000afef17141ec3e12de15d4c0f28151716338",
+        "table-json": "0c757fc803b18623e6285580b48ec21e193a1dddbef4b9f6cf12b57092dda241",
+        "table-plain": "efba0e98b53594f794460a6ba58e9dae55a2f26f379b6b575b93a9efaac2f181",
+        "verify-json": "ceecb968fd2356bfa8ec750689fd43bb003f041eda21d51d0b1d8d2e1e1d2163",
+        "verify-plain": "57e0832afc231d3645a07301fa2c92aaa26fcbcef931f4a0afa810f46f806572",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+    def test_output_bytes_are_pinned(self, case):
+        assert contract_digest(case) == self.DIGESTS[case]
+
+    def test_in_process_calls_keep_no_stream_alive(self):
+        # an in-process caller hands each call fresh streams; once the call
+        # returns, nothing of the CLI may hold on to them
+        calls = [
+            (["compute", "--lambda", "4,3,1", "--mu", "6,2", "--nu", "5,3", "--format", "json"],
+             None),
+            (["compute", "--lambda", "3,3,3", "--mu", "3,3,3", "--nu", "3,3,3",
+              "--method", "closed"], 1),
+            (["table", "--n", "3", "--format", "json"], None),
+            (["verify", "--family", "two-row", "--n-max", "3"], 0),
+        ]
+        refs = []
+        for argv, exit_code in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    cli.main(argv, standalone_mode=False)
+                    code = None
+                except SystemExit as exc:
+                    code = exc.code
+            assert code == exit_code, argv
+            assert (err if code == 1 else out).getvalue(), argv  # the call wrote its lines
+            refs += [(argv[0], "stdout", weakref.ref(out)), (argv[0], "stderr", weakref.ref(err))]
+            del out, err
+        gc.collect()
+        assert [ref[:2] for ref in refs if ref[2]() is not None] == []
