@@ -22,8 +22,8 @@ For each n it records
   table, three cold rows and the class sum, the layer the ``oracle-cold``
   benchmark workload times;
 
-and the number of ``_strip_cache`` entries that one cold row leaves
-behind.  Under ``sweep_inprocess_ms`` it records, for each sweep family
+and the number of ``_strip_cache`` entries, one per (width, shape), that
+one cold row leaves behind.  Under ``sweep_inprocess_ms`` it records, for each sweep family
 and n_max in SWEEP_N_MAX, ``run_sweep(family, n_max, jobs=1)``: the whole
 sweep in this process, oracle and closed forms together.  Under
 ``table_cold_ms`` it records, for each n in TABLE_N,
@@ -197,6 +197,13 @@ def kernel_warm_us() -> list[dict]:
     return rows
 
 
+def memo_entries() -> int:
+    """The (width, shape) entries of the vector memo, whether ``_strip_cache``
+    is keyed by (width, code) or holds one dict per width keyed by code."""
+    return sum(len(memo) if isinstance(memo, dict) else 1
+               for memo in characters._strip_cache.values())
+
+
 def frontier_triple(n: int) -> list[tuple[int, ...]]:
     """Three five-row shapes of n, no two alike: the first rows of the tails
     (n//4, n//6, n//8, 1), (n//5, n//7, 2, 1) and (n//3, n//9, 1, 1)."""
@@ -208,7 +215,7 @@ def frontier_child(n: int) -> None:
     """Print the oracle_frontier row of n; run in a process of its own."""
     shapes = [make_partition(parts) for parts in frontier_triple(n)]
     oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
-    entries = len(characters._strip_cache)
+    entries = memo_entries()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"n": n, "triple": [list(shape.parts) for shape in shapes],
                       **summary("oracle_cold_ms", oracle_s, 1e3),
@@ -239,7 +246,7 @@ def main() -> None:
         shapes = [make_partition(parts) for parts in triple]
         row_s = cold_s(lambda: characters._char_row(lam, n),
                        setup=lambda: characters._classes(n))[0]
-        entries = len(characters._strip_cache)  # before the next clear_cache()
+        entries = memo_entries()  # before the next clear_cache()
         classes_s = cold_s(lambda: characters._classes(n))[0]
         oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
         rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],

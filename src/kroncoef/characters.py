@@ -7,22 +7,32 @@ l-row shape is a bead at position lam_i + l - 1 - i.  Removing a strip of
 length r moves one bead down r places onto a free position, with sign -1 to
 the number of beads it passes; a few shifts find every such bead, and
 ``int.bit_count`` gives the sign.  A bead at position 0 stands for a zero part,
-so the trailing run of one-bits is shifted off after each move, which gives
-every shape exactly one code.  The recursion runs over whole vectors, not
-single classes: V(w, a) holds chi^w at every cycle type of |w| with no part
-above a, one signed field per class packed into one int, and
+so when a bead lands there the trailing run of one-bits is shifted off, which
+gives every shape exactly one code.  The recursion runs over whole vectors,
+not single classes: V(w, a) holds chi^w at every cycle type of |w| with no
+part above a, one signed field per class packed into one int, and
 V(w, a) = V(w, a - 1) + (sum over the a-strips of w of +-V(child,
 min(a, |w| - a))) << (k * p(|w|, parts <= a - 1)), so each (shape, strip
 length) costs a few big-int additions.  The field width k depends on n alone
-(|chi^lam| <= f^lam <= sqrt(n!)) and is a whole number of bytes, so one
-byte decoder, ``_fields``, reads every field at once.  The memo
-``_strip_cache`` is keyed by (k, shape code) and holds the prefix list
-[V(w, 0), V(w, 1), ...]; the partition counts p(m, parts <= a) are memoized
-in ``_count``, and ``clear_cache`` drops both.  Bead codes are for shapes
-only: the class table ``_classes(n)`` holds (rho, |C_rho| = n!/z_rho) for
-each cycle type rho of S_n, in the reverse lexicographic order of every
-character row.  Everything stays in arbitrary-precision integers.  This
-module is the independent ground truth the closed forms are tested against.
+(|chi^lam| <= f^lam <= sqrt(n!)).  It is a machine width, 8, 16, 32 or 64
+bits, while one fits, and a whole number of bytes past 64, so one decoder,
+``_fields``, reads every field at once: with ``array`` at a machine width,
+from the bytes otherwise.  V(w, a) does not depend on n, so the memo
+``_strip_cache`` holds one dict per width, keyed by shape code, with the
+prefix list [V(w, 0), V(w, 1), ...] of each shape; every size of that width
+shares it, and a shape whose whole row ``_char_row`` has read leaves it.
+The partition counts p(m, parts <= a) are memoized in ``_count``.
+
+``_class_sizes(n)`` lists |C_rho| = n!/z_rho for each cycle type rho of S_n
+in the reverse lexicographic order of every character row, by one walk over
+(largest part, multiplicity) that carries z and builds no cycle type; the
+class table ``_classes(n)`` pairs those sizes with the part tuples.  Every
+row ``_char_row`` builds is certified before it is cached: it must satisfy
+sum over rho of |C_rho| chi(rho)**2 = n! and chi(1^n) = f^lam, checked by
+``if``, so also under ``python -O``, and a failure raises
+``IntegralityViolation``.  Bead codes are for shapes only.  Everything stays
+in arbitrary-precision integers.  This module is the independent ground
+truth the closed forms are tested against.
 
 ``kron_oracle`` answers one triple.  ``kron_oracle_column`` answers one pair
 (mu, nu) for a whole list of lambdas, as a verification sweep and a (lambda,
@@ -32,21 +42,24 @@ chi^lam(rho) for every lambda into one int per class rho, one signed field of
 k bits each, and reads every n! * gamma off one big-int class sum with
 ``_fields``.  gamma is at most the dimension f^lam, itself at most sqrt(n!),
 so k depends on n alone: the bit length of n! * (isqrt(n!) + 1) plus 2,
-rounded up to whole bytes, and the fields never overlap; the packed
-columns are kept for one list of lambdas at a time, and ``clear_cache``
-drops them too.
+rounded up to a width ``_fields`` reads, and the fields never overlap; the
+packed columns are kept for one list of lambdas at a time.  ``clear_cache``
+drops every memo and cache of this module.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 # enumerate_partitions is unused here: the benchmark's tracer binds it (test_bench_bindings.py)
-from .partitions import Partition, _partition_tuples, conjugate, enumerate_partitions, z_of
+from .partitions import Partition, _partition_tuples, enumerate_partitions
 
 
 class SizeMismatch(ValueError):
@@ -54,7 +67,9 @@ class SizeMismatch(ValueError):
 
 
 class IntegralityViolation(ArithmeticError):
-    """n! failed to divide the class-weighted character sum.
+    """An exact identity of the oracle failed: n! did not divide the
+    class-weighted character sum, or a character row failed
+    sum |C_rho| chi(rho)**2 = n! or chi(1^n) = f^lam.
 
     This can only happen through an implementation bug, never through valid
     input, so it is raised loudly instead of being rounded away.
@@ -85,7 +100,7 @@ class KroneckerResult:
     moves: tuple[str, ...] = ()
 
 
-_strip_cache: dict[tuple[int, int], list[int]] = {}
+_strip_cache: dict[int, dict[int, list[int]]] = {}
 
 
 def _code(parts: tuple[int, ...]) -> int:
@@ -110,18 +125,24 @@ def _count(m: int, a: int) -> int:
     return sum(_count(rest, min(a - 1, rest)) for rest in range(m, -1, -a))
 
 
-def _whole_bytes(bits: int) -> int:
-    """bits rounded up to a multiple of 8, the field widths _fields reads."""
+def _field_width(bits: int) -> int:
+    """bits rounded up to a width _fields reads: 8, 16, 32 or 64 while one of
+    those holds bits, since _fields reads these with array, and past 64 a
+    whole number of bytes."""
+    if bits <= 64:
+        return max(8, 1 << (bits - 1).bit_length())
     return -(-bits // 8) * 8
 
 
 def _width(n: int) -> int:
     """Field width of the character vectors of S_n: |chi^lam(rho)| <= f^lam
-    <= isqrt(n!) (the squares of the f^lam sum to n!), plus a sign bit."""
-    return _whole_bytes(math.isqrt(math.factorial(n)).bit_length() + 1)
+    <= isqrt(n!) (the squares of the f^lam sum to n!), plus a sign bit,
+    rounded up by _field_width: 8 bits to n = 7, 16 to 12, 32 to 20, 64 to
+    33, and whole bytes from n = 34 on."""
+    return _field_width(math.isqrt(math.factorial(n)).bit_length() + 1)
 
 
-def _vector(k: int, w: int, m: int, a: int) -> int:
+def _vector(memo: dict[int, list[int]], k: int, w: int, m: int, a: int) -> int:
     """V(w, a): chi^w at every cycle type of m = |w| with no part above a,
     0 <= a <= m, one signed k-bit field each, in ascending lexicographic
     order from the lowest field.
@@ -133,33 +154,40 @@ def _vector(k: int, w: int, m: int, a: int) -> int:
     over the a-strips of w.  Removing a strip of length a moves one bead from
     a position b >= a to the free position b - a, so the beads that can move
     are w & ~(w << a) & ~((1 << a) - 1); the sign is -1 to the number of
-    beads strictly between.  A bead at position 0 stands for a zero part, so
-    the trailing run of one-bits is shifted off each child (~child &
-    (child + 1) is the lowest free position): every shape keeps one code.
+    beads strictly between.  A bead moved to position 0 stands for a zero
+    part, so then the trailing run of one-bits is shifted off the child
+    (~child & (child + 1) is the lowest free position): every shape keeps
+    one code.  Bit 0 of w is never set, so a bead landing anywhere else
+    leaves nothing to shift.
 
-    _strip_cache[(k, w)] holds the prefix [V(w, 0), V(w, 1), ...], which
-    grows by complete entries only, so a RecursionError leaves nothing
-    partial behind.  A strip length whose strips sum to zero, or that has
-    none, repeats the entry before it, sharing its int."""
-    prefix = _strip_cache.get((k, w))
+    memo is _strip_cache[k], the memo of width k: memo[w] holds the prefix
+    [V(w, 0), V(w, 1), ...], which grows by complete entries only, so a
+    RecursionError leaves nothing partial behind.  A strip length whose
+    strips sum to zero, or that has none, repeats the entry before it,
+    sharing its int."""
+    prefix = memo.get(w)
     if prefix is None:
-        prefix = _strip_cache[(k, w)] = [0 if w else 1]
+        prefix = memo[w] = [0 if w else 1]
     for strip in range(len(prefix), a + 1):
+        movable = w & ~(w << strip) & ~((1 << strip) - 1)
+        if not movable:
+            prefix.append(prefix[-1])
+            continue
         rest = m - strip
         cap = strip if strip < rest else rest
         between = (1 << (strip - 1)) - 1
-        movable = w & ~(w << strip) & ~((1 << strip) - 1)
         total = 0
         while movable:
             bead = movable & -movable
             movable ^= bead
             child = w ^ bead ^ (bead >> strip)
-            child >>= (~child & (child + 1)).bit_length() - 1
-            known = _strip_cache.get((k, child))
+            if child & 1:
+                child >>= (~child & (child + 1)).bit_length() - 1
+            known = memo.get(child)
             if known is not None and cap < len(known):
                 term = known[cap]
             else:
-                term = _vector(k, child, rest, cap)
+                term = _vector(memo, k, child, rest, cap)
             if ((w >> (bead.bit_length() - strip)) & between).bit_count() & 1:
                 total -= term
             else:
@@ -185,7 +213,7 @@ def character(lam: Partition, rho: Partition) -> int:
     n, k = rho.n, _width(rho.n)
     a = rho.parts[0] if n else 0
     try:
-        vector = _vector(k, _code(lam.parts), n, a)
+        vector = _vector(_strip_cache.setdefault(k, {}), k, _code(lam.parts), n, a)
     except RecursionError:
         raise ValueError(f"cycle type of length {len(rho)} at n = {n}: the strip "
                          "recursion runs n levels deep, past the recursion limit") from None
@@ -200,29 +228,88 @@ def character(lam: Partition, rho: Partition) -> int:
 def dimension(lam: Partition) -> int:
     """Dimension of the irreducible indexed by lam (character at the identity),
     by the hook-length formula n! / prod of the hook lengths."""
-    columns = conjugate(lam).parts
+    return _dimension(lam.parts)
+
+
+def _dimension(parts: tuple[int, ...]) -> int:
+    """f^lam for the shape with these parts, by the hook-length formula of
+    dimension, read from the tuple alone: column j has as many cells as
+    there are parts above j."""
+    columns, height = [], len(parts)
+    for j in range(parts[0] if parts else 0):
+        while parts[height - 1] <= j:
+            height -= 1
+        columns.append(height)
     hooks = 1
-    for i, row in enumerate(lam.parts):
+    for i, row in enumerate(parts):
         for j in range(row):
             hooks *= row - j + columns[j] - i - 1
-    return math.factorial(lam.n) // hooks
+    return math.factorial(sum(parts)) // hooks
+
+
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """|C_rho| = n!/z_rho for every cycle type rho of S_n, in enumeration
+    (reverse lexicographic) order, without building rho.
+
+    walk(m, a, q) lists the partitions of m with no part above a that follow
+    a prefix whose classes have n!/z = q: for each largest part j from
+    min(a, m) down to 2, and each multiplicity c of j from the most down to
+    1, the rest with no part above j - 1.  The i-th copy of j multiplies z by
+    j * i, and the closing run of m ones by m!, so q is divided by those as
+    the walk goes and each size costs one division."""
+    factorials = list(accumulate(range(1, n + 1), mul, initial=1))
+    sizes: list[int] = []
+    append = sizes.append
+
+    def walk(m: int, a: int, q: int) -> None:
+        for j in range(a if a < m else m, 1, -1):
+            runs, rest, q_run = [], m, q
+            for copies in range(1, m // j + 1):
+                rest -= j
+                q_run //= j * copies
+                runs.append((rest, q_run))
+            for rest, q_run in reversed(runs):
+                if j == 2 or not rest:
+                    append(q_run // factorials[rest])
+                else:
+                    walk(rest, j - 1, q_run)
+        append(q // factorials[m])
+
+    walk(n, n, factorials[n])
+    return tuple(sizes)
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Cycle types rho of S_n with their class sizes n!/z_rho, in enumeration
     (reverse lexicographic) order."""
-    nf = math.factorial(n)
-    return tuple((rho, nf // z_of(rho)) for rho in _partition_tuples(n))
+    return tuple(zip(_partition_tuples(n), _class_sizes(n)))
 
 
 @lru_cache(maxsize=None)
 def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Character values of lam across all classes of S_n, aligned with
     _classes(n): the fields of V(lam, n) (see _vector), read from the top,
-    since _classes(n) runs in reverse lexicographic order."""
+    since _classes(n) runs in reverse lexicographic order.
+
+    Once read, lam's own prefix list leaves the memo: the row holds all of
+    it, and a later, larger shape w of the same width reaches lam only as a
+    child, whose prefix up to |w| - n at most it rebuilds from lam's
+    children, which stay.
+    The row is certified before it is cached (see IntegralityViolation)."""
     k = _width(n)
-    return tuple(_fields(_vector(k, _code(lam), n, n), k, _count(n, n)))
+    memo = _strip_cache.setdefault(k, {})
+    code = _code(lam)
+    row = tuple(_fields(_vector(memo, k, code, n, n), k, _count(n, n)))
+    del memo[code]
+    if (sum(map(mul, _class_sizes(n), map(mul, row, row))) != math.factorial(n)
+            or row[-1] != _dimension(lam)):
+        raise IntegralityViolation(
+            f"the character row of {lam} fails sum |C_rho| chi(rho)**2 = {n}! "
+            "or chi(1^n) = f^lam"
+        )
+    return row
 
 
 @lru_cache(maxsize=1)  # callers run the third shape innermost
@@ -231,10 +318,7 @@ def _pair_weights(lam: tuple[int, ...], mu: tuple[int, ...], n: int) -> tuple[in
     with _classes(n).  One entry is kept: a run of kron_oracle queries
     sharing (lam, mu) reads one character row each instead of three.
     kron_oracle_column forms it once per call, for its pair."""
-    return tuple(
-        size * a * b
-        for (_, size), a, b in zip(_classes(n), _char_row(lam, n), _char_row(mu, n))
-    )
+    return tuple(map(mul, map(mul, _class_sizes(n), _char_row(lam, n)), _char_row(mu, n)))
 
 
 def _pack(values: Sequence[int], k: int) -> int:
@@ -247,16 +331,31 @@ def _pack(values: Sequence[int], k: int) -> int:
     return packed
 
 
+# the array type code of each machine width _fields reads in C, and whether
+# the host stores those big-endian fields with their bytes reversed
+_TYPECODES = {array(code).itemsize * 8: code for code in "bhiq"}
+_BYTESWAP = sys.byteorder == "little"
+
+
 def _fields(packed: int, k: int, count: int) -> list[int]:
     """The count signed k-bit fields of packed, k a multiple of 8, top field
     first; the inverse of _pack when every field lies in
     [-2**(k-1), 2**(k-1)).  Adding 2**(k-1) to every field makes each one
     nonnegative, so no field borrows from the next; flipping the top bit of
-    each back leaves every field in two's complement, and each is read from
-    the big-endian bytes as a signed int."""
-    size, from_bytes = k >> 3, int.from_bytes  # one lookup, not one per field
-    bias = from_bytes((b"\x80" + bytes(size - 1)) * count, "big")
+    each back leaves every field in two's complement, in big-endian bytes.
+    At k = 8, 16, 32 or 64 an array of that width reads them all in C (its
+    bytes swapped on a little-endian host); a wider k reads each field with
+    int.from_bytes."""
+    size = k >> 3
+    bias = int.from_bytes((b"\x80" + bytes(size - 1)) * count, "big")
     data = ((packed + bias) ^ bias).to_bytes(size * count, "big")
+    typecode = _TYPECODES.get(k)
+    if typecode is not None:
+        fields = array(typecode, data)
+        if _BYTESWAP:
+            fields.byteswap()
+        return fields.tolist()
+    from_bytes = int.from_bytes  # one lookup, not one per field
     return [from_bytes(data[i:i + size], "big", signed=True)
             for i in range(0, size * count, size)]
 
@@ -272,24 +371,26 @@ def _packed_columns(share: tuple[tuple[int, ...], ...], n: int) -> tuple[int, tu
     orthogonality give n! * gamma <= f^lam * n!, so gamma <= f^lam; the sum of
     (f^lam)**2 over lam is n!, so f^lam <= isqrt(n!).  Hence
     0 <= n! * gamma <= n! * isqrt(n!), and k is the bit_length of
-    n! * (isqrt(n!) + 1) plus 2, rounded up to whole bytes for _fields: 40,
-    64 and 96 bits at n = 10, 14 and 20."""
+    n! * (isqrt(n!) + 1) plus 2, rounded up by _field_width: 64 bits at
+    n = 10 and 14, and 96 at n = 20."""
     for parts in share:
         if sum(parts) != n:
             raise SizeMismatch(f"|{parts}| = {sum(parts)} but the pair has size {n}")
     nf = math.factorial(n)
-    k = _whole_bytes((nf * (math.isqrt(nf) + 1)).bit_length() + 2)
+    k = _field_width((nf * (math.isqrt(nf) + 1)).bit_length() + 2)
     rows = [_char_row(lam, n) for lam in share]
     return k, tuple(_pack(column, k) for column in zip(*rows))
 
 
 def clear_cache() -> None:
     """Drop all memoized character data: the vector memo, the partition
-    counts, the class table, the character rows, the one-entry pair-weight
-    cache and the one-entry packed columns of kron_oracle_column; callers
-    sweeping many n may use this between sizes to bound memory."""
+    counts, the class sizes, the class table, the character rows, the
+    one-entry pair-weight cache and the one-entry packed columns of
+    kron_oracle_column; callers sweeping many n may use this between sizes
+    to bound memory."""
     _strip_cache.clear()
     _count.cache_clear()
+    _class_sizes.cache_clear()
     _classes.cache_clear()
     _char_row.cache_clear()
     _pair_weights.cache_clear()

@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
@@ -21,15 +24,18 @@ from kroncoef import (
 from kroncoef import characters
 from kroncoef.characters import (
     _char_row,
+    _class_sizes,
     _classes,
     _code,
     _count,
     _fields,
     _pack,
+    _vector,
     _width,
     clear_cache,
     kron_oracle_column,
 )
+from kroncoef.partitions import _partition_tuples
 
 
 def test_trivial_character_is_one():
@@ -233,20 +239,26 @@ def test_strip_to_the_empty_shape_is_shifted_to_zero():
 
 def test_vector_memo_of_21_is_keyed_by_width_and_code():
     # (2,1) has beads at 3 and 1, code 0b1010; at n = 3 the fields are 8 bits
-    # wide.  Its two 1-strips leave (2) and (1,1), each of whose 1-strip
-    # leaves (1), whose 1-strip leaves the empty shape, code 0
+    # wide, and the memo of width 8 is keyed by code.  Its two 1-strips leave
+    # (2) and (1,1), each of whose 1-strip leaves (1), whose 1-strip leaves
+    # the empty shape, code 0
     clear_cache()
     assert _width(3) == 8
     assert character(make_partition([2, 1]), make_partition([1, 1, 1])) == 2
-    assert set(characters._strip_cache) == {(8, 0b1010), (8, 0b100), (8, 0b110),
-                                            (8, 0b10), (8, 0)}
-    assert characters._strip_cache[(8, 0b1010)] == [0, 2]
+    assert set(characters._strip_cache) == {8}
+    memo = characters._strip_cache[8]
+    assert set(memo) == {0b1010, 0b100, 0b110, 0b10, 0}
+    assert memo[0b1010] == [0, 2]
     # the whole row adds V(w, 2) and V(w, 3): no 2-strip, so the field of (2,1)
-    # is 0 and V(w, 2) = V(w, 1); the 3-strip moves bead 3 -> 0 past bead 1,
-    # so the field of (3), shifted past p(3, parts <= 2) = 2 fields, is -1
-    assert _char_row((2, 1), 3) == (-1, 0, 2)
-    assert characters._strip_cache[(8, 0b1010)] == [0, 2, 2, 2 - (1 << 16)]
+    # is 0 and V(w, 2) = V(w, 1), sharing its int; the 3-strip moves bead
+    # 3 -> 0 past bead 1, so the field of (3), shifted past
+    # p(3, parts <= 2) = 2 fields, is -1
+    assert _vector(memo, 8, 0b1010, 3, 3) == 2 - (1 << 16)
+    assert memo[0b1010] == [0, 2, 2, 2 - (1 << 16)] and memo[0b1010][2] is memo[0b1010][1]
     assert _fields(2 - (1 << 16), 8, 3) == [-1, 0, 2]
+    # the row reads that vector, then drops the prefix list of (2,1) itself
+    assert _char_row((2, 1), 3) == (-1, 0, 2)
+    assert set(memo) == {0b100, 0b110, 0b10, 0}
 
 
 def sub_shapes(parts, cap):
@@ -260,25 +272,101 @@ def sub_shapes(parts, cap):
 
 
 @pytest.mark.parametrize("triple, gamma, shapes, vectors", [
-    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 137, 489),
-    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 202, 747),
-    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 271, 1042),
+    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 134, 444),
+    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 199, 696),
+    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 268, 985),
 ])
 def test_cold_oracle_strip_cache_size(triple, gamma, shapes, vectors):
-    # one cold query keys the vector memo by (width, code) for exactly these
-    # many sub-shapes of its three shapes, holding these many prefix vectors
-    # in all, none longer than the sub-shape's size plus one; a strip length
-    # that adds nothing shares the int of the entry before it
+    # one cold query fills the vector memo of its width alone, keyed by code,
+    # for exactly these many sub-shapes of its three shapes, holding these
+    # many prefix vectors in all, none longer than the sub-shape's size plus
+    # one; a strip length that adds nothing shares the int of the entry
+    # before it.  The three queried shapes, whose n + 1 vectors each the rows
+    # hold, leave the memo once read: with them it held 137, 202 and 271
+    # shapes and 489, 747 and 1042 vectors
     clear_cache()
     assert kron_oracle(*(make_partition(p) for p in triple)).gamma == gamma
     n = sum(triple[0])
     sizes = {_code(shape): sum(shape) for p in triple for shape in sub_shapes(p, n)}
-    assert len(characters._strip_cache) == shapes
-    assert sum(map(len, characters._strip_cache.values())) == vectors
-    for (k, code), prefix in characters._strip_cache.items():
-        assert k == _width(n) and code in sizes
+    assert set(characters._strip_cache) == {_width(n)}
+    memo = characters._strip_cache[_width(n)]
+    assert len(memo) == shapes
+    assert sum(map(len, memo.values())) == vectors
+    assert not any(_code(tuple(p)) in memo for p in triple)
+    for code, prefix in memo.items():
+        assert code in sizes and sizes[code] < n
         assert len(prefix) <= sizes[code] + 1
         assert all(b is a for a, b in zip(prefix, prefix[1:]) if a == b)
+
+
+# six-row shapes at n = 32-40 whose dimension f^lam takes more than n + 20
+# bits, so their rows hold values near the field width of their n
+CERTIFIED_SHAPES = {
+    32: ((9, 7, 6, 5, 3, 2), (10, 8, 6, 4, 3, 1)),
+    34: ((10, 8, 6, 5, 3, 2), (11, 9, 6, 4, 3, 1)),
+    36: ((11, 8, 7, 5, 3, 2), (12, 9, 7, 4, 3, 1)),
+    38: ((11, 9, 8, 5, 3, 2), (12, 10, 8, 4, 3, 1)),
+    40: ((12, 10, 8, 5, 3, 2), (13, 11, 8, 4, 3, 1)),
+}
+
+
+def test_cold_rows_past_the_exhaustive_sizes_are_certified():
+    # cold rows at n = 32-40, each certified as it is built, so a field
+    # width too narrow for these sizes raises IntegralityViolation here
+    for n, shapes in CERTIFIED_SHAPES.items():
+        for lam in shapes:
+            clear_cache()
+            row = _char_row(lam, n)
+            assert row[-1] == dimension(make_partition(list(lam))), lam
+            assert row[-1].bit_length() > n + 20, lam
+            assert len(row) == len(_class_sizes(n))
+
+
+def test_certificate_refuses_a_row_under_python_optimize():
+    # with the field width too narrow the fields wrap; the certificate is an
+    # if, not an assert, so it refuses the row under python -O as well
+    script = (
+        "from kroncoef import IntegralityViolation, characters\n"
+        "assert False, 'asserts are on'\n"
+        "characters._width = lambda n: 8\n"
+        "try:\n"
+        "    characters._char_row((5, 4, 3, 2), 14)\n"
+        "except IntegralityViolation as error:\n"
+        "    print('refused:', error)\n"
+    )
+    src = os.path.dirname(os.path.dirname(characters.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, check=True, env=env, timeout=60).stdout
+    assert out.startswith("refused: the character row of (5, 4, 3, 2) fails"), out
+
+
+def test_certificate_refuses_a_wrong_row(monkeypatch):
+    # a row that fails either identity is refused, and nothing is cached
+    lam = (3, 2, 1)
+    clear_cache()
+    good = _char_row(lam, 6)
+    real = characters._fields
+    corruptions = (lambda fields: [fields[0] + 1] + fields[1:],  # breaks the norm alone
+                   lambda fields: [-value for value in fields])  # breaks chi(1^6) = 16 alone
+    for corrupt in corruptions:
+        clear_cache()
+        monkeypatch.setattr(characters, "_fields", lambda *args: corrupt(real(*args)))
+        with pytest.raises(IntegralityViolation, match=re.escape(f"row of {lam} fails")):
+            _char_row(lam, 6)
+        assert _char_row.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert _char_row(lam, 6) == good
+
+
+def test_class_sizes_match_centralizers_to_40():
+    # the walk over (largest part, multiplicity) lists n!/z_rho in the order
+    # of the partitions, and the classes partition S_n
+    for n in range(41):
+        nf = math.factorial(n)
+        sizes = _class_sizes(n)
+        assert sizes == tuple(nf // z_of(rho) for rho in _partition_tuples(n)), n
+        assert sum(sizes) == nf, n
 
 
 def test_dimensions():
@@ -484,7 +572,8 @@ def test_oracle_column_matches_oracle_beyond_exhaustive_range():
 
 def test_pack_round_trips_signed_fields_at_the_width_limit():
     rng = random.Random(20001084)
-    for k in (8, 40, 64, 96):
+    # k = 8, 16, 32 and 64 take the array path of _fields, the others the bytes
+    for k in (8, 16, 32, 40, 64, 72, 96):
         edge = (1 << (k - 1)) - 1
         values = [edge, -edge - 1, 0, -1, 1, -edge, -edge - 1, edge, 0]
         values += [rng.randint(-edge - 1, edge) for _ in range(40)]
@@ -498,17 +587,27 @@ def test_pack_round_trips_signed_fields_at_the_width_limit():
                                         for i in range(7)]
 
 
+def is_field_width(k):
+    """8, 16, 32, 64, or a whole number of bytes past 64."""
+    return k in (8, 16, 32, 64) or (k > 64 and k % 8 == 0)
+
+
 def test_packed_field_width_bound():
     # the width covers n! * (isqrt(n!) + 1) with a sign bit to spare, because
     # 0 <= gamma <= f^lam <= isqrt(n!); it depends on n alone
-    assert [characters._packed_columns(((n,),), n)[0] for n in (10, 14, 20)] == [40, 64, 96]
+    # up to 64 bits both widths are machine widths, which _fields reads with
+    # array, and past that whole bytes
+    assert [characters._packed_columns(((n,),), n)[0] for n in (10, 14, 20)] == [64, 64, 96]
     for n in range(1, 25):
         nf = math.factorial(n)
         k = characters._packed_columns(((n,),), n)[0]
-        assert nf * (math.isqrt(nf) + 1) < 2 ** (k - 1) and k % 8 == 0, n
+        assert nf * (math.isqrt(nf) + 1) < 2 ** (k - 1) and is_field_width(k), n
+    for n in range(45):
         # the character fields hold +-isqrt(n!), and so every character value
+        nf = math.factorial(n)
         k = _width(n)
-        assert math.isqrt(nf) < 2 ** (k - 1) and k % 8 == 0, n
+        assert math.isqrt(nf) < 2 ** (k - 1) and is_field_width(k), n
+    assert [_width(n) for n in (7, 8, 12, 13, 20, 21, 33, 34)] == [8, 16, 16, 32, 32, 64, 64, 72]
     for n in range(13):
         nf = math.factorial(n)
         shapes = list(enumerate_partitions(n))
