@@ -1,4 +1,4 @@
-"""Layer timings of the character oracle: the class table, one cold
+"""Layer timings of the character oracle: the class sizes, one cold
 character row and one cold oracle query, for n = 14, 16, ..., 24, the
 in-process verification sweep that certifies the closed forms against it,
 the CLI's table of every triple of one n, one warm call of each closed
@@ -14,12 +14,14 @@ by ``cold_s``: each repetition calls ``clear_cache()``, runs the figure's
 untimed setup, if it has one, and then times the figure's work alone.
 For each n it records
 
-* ``classes_cold_ms``: ``_classes(n)``;
+* ``class_sizes_cold_ms``: ``_class_sizes(n)``, the class sizes
+  |C_rho| = n!/z_rho the oracle reads (``_classes(n)``, the class table,
+  on versions that have no ``_class_sizes``);
 * ``char_row_cold_ms``: ``_char_row(lam, n)`` for the first shape ``lam``
-  of the fixed general triple of TRIPLES, with ``_classes(n)`` as the
-  untimed setup, so the class table is not part of this time;
+  of the fixed general triple of TRIPLES, with the class sizes as the
+  untimed setup, so they are not part of this time;
 * ``oracle_cold_ms``: ``kron_oracle`` on the whole triple: the class
-  table, three cold rows and the class sum, the layer the ``oracle-cold``
+  sizes, three cold rows and the class sum, the layer the ``oracle-cold``
   benchmark workload times;
 
 and the number of ``_strip_cache`` entries, one per (width, shape), that
@@ -53,12 +55,12 @@ cold times in ms, the ``_strip_cache`` entries one query leaves and
 the child's peak resident set (``ru_maxrss``) in MB.  These are the
 figures an oracle size budget rests on.
 
-Only ``clear_cache``, ``_classes``, ``_char_row``, ``_strip_cache``,
-``kron_oracle``, ``compute``, ``enumerate_partitions``, ``run_sweep``,
-``SWEEP_FAMILIES``, ``cli.main`` and the three kernels
-``kron_two_tworow``, ``kron_two_hooks`` and ``kron_hook_tworow`` are
-used, so the script runs unchanged against earlier versions of the
-package.
+Only ``clear_cache``, ``_class_sizes`` (or ``_classes`` where it is
+missing), ``_char_row``, ``_strip_cache``, ``kron_oracle``, ``compute``,
+``enumerate_partitions``, ``run_sweep``, ``SWEEP_FAMILIES``, ``cli.main``
+and the three kernels ``kron_two_tworow``, ``kron_two_hooks`` and
+``kron_hook_tworow`` are used, so the script runs unchanged against
+earlier versions of the package.
 
 To cite a before/after, do not set one file's median against another's
 quartiles: on a shared 2-CPU host two whole runs of the same code drift
@@ -197,6 +199,10 @@ def kernel_warm_us() -> list[dict]:
     return rows
 
 
+# the class sizes the oracle reads; the class table on earlier versions
+CLASS_SIZES = getattr(characters, "_class_sizes", None) or characters._classes
+
+
 def memo_entries() -> int:
     """The (width, shape) entries of the vector memo, whether ``_strip_cache``
     is keyed by (width, code) or holds one dict per width keyed by code."""
@@ -244,13 +250,12 @@ def main() -> None:
     for n, triple in TRIPLES.items():
         lam = triple[0]
         shapes = [make_partition(parts) for parts in triple]
-        row_s = cold_s(lambda: characters._char_row(lam, n),
-                       setup=lambda: characters._classes(n))[0]
+        row_s = cold_s(lambda: characters._char_row(lam, n), setup=lambda: CLASS_SIZES(n))[0]
         entries = memo_entries()  # before the next clear_cache()
-        classes_s = cold_s(lambda: characters._classes(n))[0]
+        class_sizes_s = cold_s(lambda: CLASS_SIZES(n))[0]
         oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
         rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],
-                     **summary("classes_cold_ms", classes_s, 1e3),
+                     **summary("class_sizes_cold_ms", class_sizes_s, 1e3),
                      **summary("char_row_cold_ms", row_s, 1e3), "strip_cache_entries": entries,
                      **summary("oracle_cold_ms", oracle_s, 1e3)})
         print(json.dumps(rows[-1]))

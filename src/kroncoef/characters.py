@@ -20,7 +20,11 @@ bits, while one fits, and a whole number of bytes past 64, so one decoder,
 from the bytes otherwise.  V(w, a) does not depend on n, so the memo
 ``_strip_cache`` holds one dict per width, keyed by shape code, with the
 prefix list [V(w, 0), V(w, 1), ...] of each shape; every size of that width
-shares it, and a shape whose whole row ``_char_row`` has read leaves it.
+shares it, and a shape whose whole row has been read leaves it.  One reader,
+``_vector_fields``, picks the width, reaches the memo, builds and decodes a
+vector and trims the memo, all under the one lock ``_strip_lock``, which
+``clear_cache`` takes too: threads take turns inside the recursion, so the
+module's functions are safe for concurrent use.
 The partition counts p(m, parts <= a) are memoized in ``_count``.
 
 ``_class_sizes(n)`` lists |C_rho| = n!/z_rho for each cycle type rho of S_n
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -101,6 +106,7 @@ class KroneckerResult:
 
 
 _strip_cache: dict[int, dict[int, list[int]]] = {}
+_strip_lock = threading.Lock()
 
 
 def _code(parts: tuple[int, ...]) -> int:
@@ -160,11 +166,11 @@ def _vector(memo: dict[int, list[int]], k: int, w: int, m: int, a: int) -> int:
     one code.  Bit 0 of w is never set, so a bead landing anywhere else
     leaves nothing to shift.
 
-    memo is _strip_cache[k], the memo of width k: memo[w] holds the prefix
-    [V(w, 0), V(w, 1), ...], which grows by complete entries only, so a
-    RecursionError leaves nothing partial behind.  A strip length whose
-    strips sum to zero, or that has none, repeats the entry before it,
-    sharing its int."""
+    memo is the memo of width k, which _vector_fields passes in under its
+    lock: memo[w] holds the prefix [V(w, 0), V(w, 1), ...], which grows by
+    complete entries only, so a RecursionError leaves nothing partial
+    behind.  A strip length whose strips sum to zero, or that has none,
+    repeats the entry before it, sharing its int."""
     prefix = memo.get(w)
     if prefix is None:
         prefix = memo[w] = [0 if w else 1]
@@ -196,12 +202,34 @@ def _vector(memo: dict[int, list[int]], k: int, w: int, m: int, a: int) -> int:
     return prefix[a]
 
 
+def _vector_fields(parts: tuple[int, ...], n: int, a: int) -> list[int]:
+    """The p(n, parts <= a) fields of V(parts, a), top field first (see
+    _vector and _fields), for the shape with these parts, n = |parts| and
+    0 <= a <= n: the one reader of _strip_cache.
+
+    It picks the width of n, reaches that width's memo by the shape's bead
+    code, builds the vector, trims the memo and decodes the vector, all
+    under _strip_lock, which clear_cache takes too, so threads take turns
+    inside the recursion and none sees a prefix list another is growing.
+    At a = n the vector is the whole row, and the shape's own prefix list
+    leaves the memo: the row holds all of it, and a later, larger shape w
+    of the same width reaches this one only as a child, whose prefix up to
+    |w| - n at most it rebuilds from this shape's children, which stay."""
+    with _strip_lock:
+        k, code = _width(n), _code(parts)
+        memo = _strip_cache.setdefault(k, {})
+        vector = _vector(memo, k, code, n, a)
+        if a == n:
+            del memo[code]
+        return _fields(vector, k, _count(n, a))
+
+
 def character(lam: Partition, rho: Partition) -> int:
     """Character value of the irreducible indexed by lam at cycle type rho.
 
-    It reads the field of rho in V(lam, rho[0]) (see _vector), which holds
-    lam's character at every cycle type with no part above rho[0], so its
-    cost grows with p(n, parts <= rho[0]).  The field of rho counts the
+    It reads the field of rho in V(lam, rho[0]) (see _vector_fields), which
+    holds lam's character at every cycle type with no part above rho[0], so
+    its cost grows with p(n, parts <= rho[0]).  The field of rho counts the
     cycle types of n below it in ascending lexicographic order: at each part
     rho[i], the p(rest, parts <= rho[i] - 1) of the remaining size that start
     lower.  Building V(lam, a) for a >= 1 recurses once per cell down a
@@ -210,10 +238,9 @@ def character(lam: Partition, rho: Partition) -> int:
     the memo keeps only complete entries, so later calls are unaffected."""
     if lam.n != rho.n:
         raise SizeMismatch(f"|{lam}| = {lam.n} but |{rho}| = {rho.n}")
-    n, k = rho.n, _width(rho.n)
-    a = rho.parts[0] if n else 0
+    n = rho.n
     try:
-        vector = _vector(_strip_cache.setdefault(k, {}), k, _code(lam.parts), n, a)
+        fields = _vector_fields(lam.parts, n, rho.parts[0] if n else 0)
     except RecursionError:
         raise ValueError(f"cycle type of length {len(rho)} at n = {n}: the strip "
                          "recursion runs n levels deep, past the recursion limit") from None
@@ -221,8 +248,7 @@ def character(lam: Partition, rho: Partition) -> int:
     for part in rho.parts:
         below += _count(rest, part - 1)
         rest -= part
-    count = _count(n, a)
-    return _fields(vector, k, count)[count - 1 - below]
+    return fields[-1 - below]
 
 
 def dimension(lam: Partition) -> int:
@@ -290,19 +316,10 @@ def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 @lru_cache(maxsize=None)
 def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Character values of lam across all classes of S_n, aligned with
-    _classes(n): the fields of V(lam, n) (see _vector), read from the top,
-    since _classes(n) runs in reverse lexicographic order.
-
-    Once read, lam's own prefix list leaves the memo: the row holds all of
-    it, and a later, larger shape w of the same width reaches lam only as a
-    child, whose prefix up to |w| - n at most it rebuilds from lam's
-    children, which stay.
+    _classes(n): the fields of V(lam, n) (see _vector_fields), read from the
+    top, since _classes(n) runs in reverse lexicographic order.
     The row is certified before it is cached (see IntegralityViolation)."""
-    k = _width(n)
-    memo = _strip_cache.setdefault(k, {})
-    code = _code(lam)
-    row = tuple(_fields(_vector(memo, k, code, n, n), k, _count(n, n)))
-    del memo[code]
+    row = tuple(_vector_fields(lam, n, n))
     if (sum(map(mul, _class_sizes(n), map(mul, row, row))) != math.factorial(n)
             or row[-1] != _dimension(lam)):
         raise IntegralityViolation(
@@ -387,8 +404,9 @@ def clear_cache() -> None:
     counts, the class sizes, the class table, the character rows, the
     one-entry pair-weight cache and the one-entry packed columns of
     kron_oracle_column; callers sweeping many n may use this between sizes
-    to bound memory."""
-    _strip_cache.clear()
+    to bound memory.  The memo is cleared under _strip_lock."""
+    with _strip_lock:
+        _strip_cache.clear()
     _count.cache_clear()
     _class_sizes.cache_clear()
     _classes.cache_clear()

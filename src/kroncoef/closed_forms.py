@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import permutations
 from typing import NamedTuple
 
 from .characters import (
@@ -219,14 +220,8 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 _CONJ_PATTERNS: tuple[tuple[int, int] | None, ...] = (None, (0, 1), (0, 2), (1, 2))
 
-_PERMUTATIONS: tuple[tuple[int, int, int], ...] = (
-    (0, 1, 2),
-    (0, 2, 1),
-    (1, 0, 2),
-    (1, 2, 0),
-    (2, 0, 1),
-    (2, 1, 0),
-)
+# in lexicographic order, the identity first
+_PERMUTATIONS: tuple[tuple[int, ...], ...] = tuple(permutations(range(3)))
 
 
 class _Variant(NamedTuple):

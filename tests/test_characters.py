@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from functools import lru_cache
 
 import pytest
@@ -297,6 +298,62 @@ def test_cold_oracle_strip_cache_size(triple, gamma, shapes, vectors):
         assert code in sizes and sizes[code] < n
         assert len(prefix) <= sizes[code] + 1
         assert all(b is a for a, b in zip(prefix, prefix[1:]) if a == b)
+
+
+def race(build, shapes, trials=30):
+    """Run build on alternate shapes in two threads, from empty memos, trials
+    times with the interpreter switching threads every microsecond, and
+    return the results of every trial and every exception raised."""
+    outcomes, errors = [], []
+
+    def work(share, results):
+        try:
+            for shape in share:
+                results[shape] = build(shape)
+        except Exception as error:
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(trials):
+            clear_cache()
+            results: dict = {}
+            threads = [threading.Thread(target=work, args=(shapes[i::2], results))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            outcomes.append(results)
+    finally:
+        sys.setswitchinterval(interval)
+    return outcomes, errors
+
+
+def test_threads_building_cold_rows_agree_with_one_thread():
+    # two threads build the cold rows of S_16 at once; the memo's lock lets
+    # one of them into the strip recursion at a time, so no trial raises and
+    # every row equals the one a single thread builds
+    n = 16
+    shapes = list(_partition_tuples(n))
+    clear_cache()
+    expected = {lam: _char_row(lam, n) for lam in shapes}
+    outcomes, errors = race(lambda lam: _char_row(lam, n), shapes)
+    assert not errors, errors[:3]
+    assert all(results == expected for results in outcomes)
+
+
+def test_threads_reading_one_class_agree_with_one_thread():
+    # the same for character at one cycle type, which grows prefix lists in
+    # the memo without taking any out
+    rho = make_partition([6, 4, 3, 2, 1])
+    shapes = list(enumerate_partitions(16))
+    clear_cache()
+    expected = {lam: character(lam, rho) for lam in shapes}
+    outcomes, errors = race(lambda lam: character(lam, rho), shapes)
+    assert not errors, errors[:3]
+    assert all(results == expected for results in outcomes)
 
 
 # six-row shapes at n = 32-40 whose dimension f^lam takes more than n + 20

@@ -184,6 +184,16 @@ class TestTwoRowCorollary:
                            for k in (rng.randint(0, n // 2) for _ in range(3)))
             assert kron_tworow_corollary(lam, mu, nu) == kron_two_tworow(lam, mu, nu), (lam, mu, nu)
 
+    def test_oracle_agrees_past_the_exhaustive_sizes(self):
+        # chi^(n-2,2) is -1 on the class (n-1,1), so a sign error in the
+        # oracle's (n-1)-strips moves its gamma by 2/(n-1), and the division
+        # by n! fails; the norm of each row cannot see such an error
+        for n in range(4, 33):
+            p = make_partition([n - 2, 2])
+            gamma = kron_two_tworow(p, p, p)
+            assert kron_tworow_corollary(p, p, p) == gamma, n
+            assert oracle(p, p, p) == gamma, n
+
 
 class TestTwoHooks:
     def test_one_row_lambda_is_delta(self):
