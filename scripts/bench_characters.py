@@ -17,6 +17,10 @@ For each n it records
 * ``class_sizes_cold_ms``: ``_class_sizes(n)``, the class sizes
   |C_rho| = n!/z_rho the oracle reads (``_classes(n)``, the class table,
   on versions that have no ``_class_sizes``);
+* ``counts_cold_ms``: ``_counts(n, n)``, the table of partition counts
+  p(m, parts <= a) for every a <= m <= n that a whole row's fields are
+  shifted and counted by (on versions that have no ``_counts``, the same
+  table filled through the memoized ``_count``);
 * ``char_row_cold_ms``: ``_char_row(lam, n)`` for the first shape ``lam``
   of the fixed general triple of TRIPLES, with the class sizes as the
   untimed setup, so they are not part of this time;
@@ -56,11 +60,11 @@ the child's peak resident set (``ru_maxrss``) in MB.  These are the
 figures an oracle size budget rests on.
 
 Only ``clear_cache``, ``_class_sizes`` (or ``_classes`` where it is
-missing), ``_char_row``, ``_strip_cache``, ``kron_oracle``, ``compute``,
-``enumerate_partitions``, ``run_sweep``, ``SWEEP_FAMILIES``, ``cli.main``
-and the three kernels ``kron_two_tworow``, ``kron_two_hooks`` and
-``kron_hook_tworow`` are used, so the script runs unchanged against
-earlier versions of the package.
+missing), ``_counts`` (or ``_count`` where it is missing), ``_char_row``,
+``_strip_cache``, ``kron_oracle``, ``compute``, ``enumerate_partitions``,
+``run_sweep``, ``SWEEP_FAMILIES``, ``cli.main`` and the three kernels
+``kron_two_tworow``, ``kron_two_hooks`` and ``kron_hook_tworow`` are used,
+so the script runs unchanged against earlier versions of the package.
 
 To cite a before/after, do not set one file's median against another's
 quartiles: on a shared 2-CPU host two whole runs of the same code drift
@@ -203,6 +207,14 @@ def kernel_warm_us() -> list[dict]:
 CLASS_SIZES = getattr(characters, "_class_sizes", None) or characters._classes
 
 
+def counts(n: int):
+    """The count table of n: _counts(n, n), or on earlier versions
+    p(m, parts <= a) for every a <= m <= n through _count."""
+    if hasattr(characters, "_counts"):
+        return characters._counts(n, n)
+    return [[characters._count(m, a) for a in range(m + 1)] for m in range(n + 1)]
+
+
 def memo_entries() -> int:
     """The (width, shape) entries of the vector memo, whether ``_strip_cache``
     is keyed by (width, code) or holds one dict per width keyed by code."""
@@ -253,9 +265,11 @@ def main() -> None:
         row_s = cold_s(lambda: characters._char_row(lam, n), setup=lambda: CLASS_SIZES(n))[0]
         entries = memo_entries()  # before the next clear_cache()
         class_sizes_s = cold_s(lambda: CLASS_SIZES(n))[0]
+        counts_s = cold_s(lambda: counts(n))[0]
         oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
         rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],
                      **summary("class_sizes_cold_ms", class_sizes_s, 1e3),
+                     **summary("counts_cold_ms", counts_s, 1e3),
                      **summary("char_row_cold_ms", row_s, 1e3), "strip_cache_entries": entries,
                      **summary("oracle_cold_ms", oracle_s, 1e3)})
         print(json.dumps(rows[-1]))

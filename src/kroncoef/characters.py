@@ -13,8 +13,10 @@ not single classes: V(w, a) holds chi^w at every cycle type of |w| with no
 part above a, one signed field per class packed into one int, and
 V(w, a) = V(w, a - 1) + (sum over the a-strips of w of +-V(child,
 min(a, |w| - a))) << (k * p(|w|, parts <= a - 1)), so each (shape, strip
-length) costs a few big-int additions.  The field width k depends on n alone
-(|chi^lam| <= f^lam <= sqrt(n!)).  It is a machine width, 8, 16, 32 or 64
+length) costs a few big-int additions.  The recursion stops at a = 1:
+V(w, 1) is the one field f^w, which the hook-length formula gives off the
+bead code (``_leaf``), so no chain of 1-strips is walked.  The field width
+k depends on n alone (|chi^lam| <= f^lam <= sqrt(n!)).  It is a machine width, 8, 16, 32 or 64
 bits, while one fits, and a whole number of bytes past 64, so one decoder,
 ``_fields``, reads every field at once: with ``array`` at a machine width,
 from the bytes otherwise.  V(w, a) does not depend on n, so the memo
@@ -24,8 +26,10 @@ shares it, and a shape whose whole row has been read leaves it.  One reader,
 ``_vector_fields``, picks the width, reaches the memo, builds and decodes a
 vector and trims the memo, all under the one lock ``_strip_lock``, which
 ``clear_cache`` takes too: threads take turns inside the recursion, so the
-module's functions are safe for concurrent use.
-The partition counts p(m, parts <= a) are memoized in ``_count``.
+module's functions are safe for concurrent use.  The partition counts
+p(m, parts <= a) that shift and count the fields come from one table per
+size and largest part, ``_counts(n, top)``, built in one pass per a and
+fetched once per vector.
 
 ``_class_sizes(n)`` lists |C_rho| = n!/z_rho for each cycle type rho of S_n
 in the reverse lexicographic order of every character row, by one walk over
@@ -121,14 +125,20 @@ def _code(parts: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _count(m: int, a: int) -> int:
-    """p(m, parts <= a) for 0 <= a <= m: the number of partitions of m with no
-    part above a, and so the number of fields of V(w, a) for |w| = m.  It
-    sums over the number of parts equal to a, so it recurses a levels deep,
-    not m."""
-    if not a:
-        return 1 if not m else 0
-    return sum(_count(rest, min(a - 1, rest)) for rest in range(m, -1, -a))
+def _counts(n: int, top: int) -> list[list[int]]:
+    """The table of p(m, parts <= a), the number of partitions of m with no
+    part above a, and so the number of fields of V(w, a) for |w| = m: row m
+    holds it for 0 <= a <= min(m, top), for every 0 <= m <= n.  It is built
+    in one pass per a by p(m, <= a) = p(m, <= a - 1) + p(m - a, <= a): in
+    pass a the last entry of row m - a is p(m - a, <= min(a, m - a)), since
+    that row gained its entry a earlier in the pass or was complete before
+    it.  The rows are lists that every caller shares and none changes."""
+    counts = [[1]] + [[0] for _ in range(n)]
+    for a in range(1, min(n, top) + 1):
+        for m in range(a, n + 1):
+            row = counts[m]
+            row.append(row[-1] + counts[m - a][-1])
+    return counts
 
 
 def _field_width(bits: int) -> int:
@@ -148,7 +158,24 @@ def _width(n: int) -> int:
     return _field_width(math.isqrt(math.factorial(n)).bit_length() + 1)
 
 
-def _vector(memo: dict[int, list[int]], k: int, w: int, m: int, a: int) -> int:
+def _leaf(w: int, m: int) -> int:
+    """V(w, 1) = f^w, the one field of the class 1^m, m = |w|, by the
+    hook-length formula read off the bead code w (Frame, Robinson and
+    Thrall): the cells of bead b's row are the free positions c < b, and
+    each has hook length b - c, so the hook product costs m small
+    multiplications."""
+    free, hooks = [], 1
+    for position, bit in enumerate(f"{w:b}"[::-1]):
+        if bit == "0":
+            free.append(position)
+        else:
+            for c in free:
+                hooks *= position - c
+    return math.factorial(m) // hooks
+
+
+def _vector(memo: dict[int, list[int]], counts: list[list[int]], k: int, w: int, m: int,
+            a: int) -> int:
     """V(w, a): chi^w at every cycle type of m = |w| with no part above a,
     0 <= a <= m, one signed k-bit field each, in ascending lexicographic
     order from the lowest field.
@@ -156,24 +183,27 @@ def _vector(memo: dict[int, list[int]], k: int, w: int, m: int, a: int) -> int:
     The cycle types with parts at most a are those with parts at most a - 1
     followed by the (a, sigma) with sigma a cycle type of m - a with parts at
     most min(a, m - a), so V(w, a) is V(w, a - 1) plus, shifted past its
-    p(m, parts <= a - 1) fields, the signed sum of V(child, min(a, m - a))
-    over the a-strips of w.  Removing a strip of length a moves one bead from
-    a position b >= a to the free position b - a, so the beads that can move
-    are w & ~(w << a) & ~((1 << a) - 1); the sign is -1 to the number of
-    beads strictly between.  A bead moved to position 0 stands for a zero
-    part, so then the trailing run of one-bits is shifted off the child
-    (~child & (child + 1) is the lowest free position): every shape keeps
-    one code.  Bit 0 of w is never set, so a bead landing anywhere else
-    leaves nothing to shift.
+    p(m, parts <= a - 1) = counts[m][a - 1] fields, the signed sum of
+    V(child, min(a, m - a)) over the a-strips of w.  Removing a strip of
+    length a moves one bead from a position b >= a to the free position
+    b - a, so the beads that can move are w & ~(w << a) & ~((1 << a) - 1);
+    the sign is -1 to the number of beads strictly between.  A bead moved to
+    position 0 stands for a zero part, so then the trailing run of one-bits
+    is shifted off the child (~child & (child + 1) is the lowest free
+    position): every shape keeps one code.  Bit 0 of w is never set, so a
+    bead landing anywhere else leaves nothing to shift.  The recursion stops
+    at strip length 1: a shape's prefix list starts as [V(w, 0), V(w, 1)],
+    with V(w, 1) = f^w from _leaf, and the strip loop starts at 2.
 
-    memo is the memo of width k, which _vector_fields passes in under its
-    lock: memo[w] holds the prefix [V(w, 0), V(w, 1), ...], which grows by
-    complete entries only, so a RecursionError leaves nothing partial
-    behind.  A strip length whose strips sum to zero, or that has none,
-    repeats the entry before it, sharing its int."""
+    memo is the memo of width k and counts a table of _counts covering m
+    and a, which _vector_fields passes in under its lock: memo[w] holds the
+    prefix [V(w, 0), V(w, 1), ...], which grows by complete entries only, so
+    a RecursionError leaves nothing partial behind.  A strip length whose
+    strips sum to zero, or that has none, repeats the entry before it,
+    sharing its int."""
     prefix = memo.get(w)
     if prefix is None:
-        prefix = memo[w] = [0 if w else 1]
+        prefix = memo[w] = [0, _leaf(w, m)] if w else [1]
     for strip in range(len(prefix), a + 1):
         movable = w & ~(w << strip) & ~((1 << strip) - 1)
         if not movable:
@@ -193,12 +223,12 @@ def _vector(memo: dict[int, list[int]], k: int, w: int, m: int, a: int) -> int:
             if known is not None and cap < len(known):
                 term = known[cap]
             else:
-                term = _vector(memo, k, child, rest, cap)
+                term = _vector(memo, counts, k, child, rest, cap)
             if ((w >> (bead.bit_length() - strip)) & between).bit_count() & 1:
                 total -= term
             else:
                 total += term
-        prefix.append(prefix[-1] + (total << k * _count(m, strip - 1)) if total else prefix[-1])
+        prefix.append(prefix[-1] + (total << k * counts[m][strip - 1]) if total else prefix[-1])
     return prefix[a]
 
 
@@ -208,20 +238,21 @@ def _vector_fields(parts: tuple[int, ...], n: int, a: int) -> list[int]:
     0 <= a <= n: the one reader of _strip_cache.
 
     It picks the width of n, reaches that width's memo by the shape's bead
-    code, builds the vector, trims the memo and decodes the vector, all
-    under _strip_lock, which clear_cache takes too, so threads take turns
-    inside the recursion and none sees a prefix list another is growing.
+    code, fetches the count table _counts(n, a), builds the vector, trims
+    the memo and decodes the vector, all under _strip_lock, which
+    clear_cache takes too, so threads take turns inside the recursion and
+    none sees a prefix list another is growing.
     At a = n the vector is the whole row, and the shape's own prefix list
     leaves the memo: the row holds all of it, and a later, larger shape w
     of the same width reaches this one only as a child, whose prefix up to
     |w| - n at most it rebuilds from this shape's children, which stay."""
     with _strip_lock:
-        k, code = _width(n), _code(parts)
+        k, code, counts = _width(n), _code(parts), _counts(n, a)
         memo = _strip_cache.setdefault(k, {})
-        vector = _vector(memo, k, code, n, a)
+        vector = _vector(memo, counts, k, code, n, a)
         if a == n:
             del memo[code]
-        return _fields(vector, k, _count(n, a))
+        return _fields(vector, k, counts[n][a])
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -232,21 +263,25 @@ def character(lam: Partition, rho: Partition) -> int:
     its cost grows with p(n, parts <= rho[0]).  The field of rho counts the
     cycle types of n below it in ascending lexicographic order: at each part
     rho[i], the p(rest, parts <= rho[i] - 1) of the remaining size that start
-    lower.  Building V(lam, a) for a >= 1 recurses once per cell down a
-    chain of 1-strips, n levels deep, so past Python's recursion limit (at
-    rho = 1^1200, say) it raises ValueError naming the length of rho and n;
-    the memo keeps only complete entries, so later calls are unaffected."""
+    lower, read from the table _counts(n, rho[0]) that the vector's fields
+    are counted by.  Building V(lam, a) recurses once per strip down a chain
+    of strips of length 2 or more (V(w, 1) is a leaf), up to n/2 levels
+    deep, so past Python's recursion limit (at rho = 2^1200, say) it raises
+    ValueError naming the length of rho and n; the memo keeps only complete
+    entries, so later calls are unaffected."""
     if lam.n != rho.n:
         raise SizeMismatch(f"|{lam}| = {lam.n} but |{rho}| = {rho.n}")
     n = rho.n
+    top = rho.parts[0] if n else 0
     try:
-        fields = _vector_fields(lam.parts, n, rho.parts[0] if n else 0)
+        fields = _vector_fields(lam.parts, n, top)
     except RecursionError:
         raise ValueError(f"cycle type of length {len(rho)} at n = {n}: the strip "
-                         "recursion runs n levels deep, past the recursion limit") from None
-    below, rest = 0, n
+                         "recursion, one level per strip of length 2 or more, runs "
+                         "past the recursion limit") from None
+    counts, below, rest = _counts(n, top), 0, n
     for part in rho.parts:
-        below += _count(rest, part - 1)
+        below += counts[rest][part - 1]
         rest -= part
     return fields[-1 - below]
 
@@ -400,14 +435,14 @@ def _packed_columns(share: tuple[tuple[int, ...], ...], n: int) -> tuple[int, tu
 
 
 def clear_cache() -> None:
-    """Drop all memoized character data: the vector memo, the partition
-    counts, the class sizes, the class table, the character rows, the
+    """Drop all memoized character data: the vector memo, the tables of
+    partition counts, the class sizes, the class table, the character rows, the
     one-entry pair-weight cache and the one-entry packed columns of
     kron_oracle_column; callers sweeping many n may use this between sizes
     to bound memory.  The memo is cleared under _strip_lock."""
     with _strip_lock:
         _strip_cache.clear()
-    _count.cache_clear()
+    _counts.cache_clear()
     _class_sizes.cache_clear()
     _classes.cache_clear()
     _char_row.cache_clear()

@@ -13,7 +13,9 @@ CLOSED_FORMS selects, valued by closed_forms._try_closed, against the
 oracle.
 
 Click only parses the arguments: every command writes its lines with print,
-to sys.stdout, and compute's error lines to sys.stderr.  verify and selftest
+to sys.stdout, and compute's error lines to sys.stderr, except table's plain
+and JSON rows, each one sys.stdout.write with its line end, so an unbuffered
+stream takes one write per row, where print makes two.  verify and selftest
 flush each line, so a piped sweep reports each family as it finishes; table
 rows and compute's lines are buffered.
 
@@ -244,12 +246,13 @@ def cmd_table(n, family, fmt):
     enumeration order."""
     shapes = list(enumerate_partitions(n))
     mus, nus = _family_sides(shapes, family)
+    write = sys.stdout.write  # one write per row, line end included
     if fmt == "json":  # each row carries its own compute time
         for lam in shapes:
             for mu in mus:
                 for nu in nus:
                     result, elapsed_us = _timed_compute(lam, mu, nu, AUTO)
-                    print(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
+                    write(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)) + "\n")
         return
     # labels are formed once per table; rows stream out a (lam, mu) block at
     # a time, one line each
@@ -267,7 +270,7 @@ def cmd_table(n, family, fmt):
     for lam, mu, results in blocks:
         head = f"{labels[lam] or '-':>16}  {labels[mu] or '-':>12}  "
         for nu_cell, result in zip(nu_cells, results):
-            print(f"{head}{nu_cell}  {result.gamma:>4}  {result.provenance}")
+            write(f"{head}{nu_cell}  {result.gamma:>4}  {result.provenance}\n")
 
 
 @main.command("verify")

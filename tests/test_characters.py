@@ -5,7 +5,9 @@ import re
 import subprocess
 import sys
 import threading
+from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,8 +30,10 @@ from kroncoef.characters import (
     _class_sizes,
     _classes,
     _code,
-    _count,
+    _counts,
+    _dimension,
     _fields,
+    _leaf,
     _pack,
     _vector,
     _width,
@@ -60,9 +64,13 @@ def test_standard_character_of_s3():
 
 
 def test_cycle_type_too_long_for_the_recursion_is_refused():
-    long = make_partition([1] * 1200)
+    # V(w, 1) is a leaf, so 1^n no longer recurses: chi^(1^1200)(1^1200) = 1
+    column = make_partition([1] * 1200)
+    assert character(column, column) == 1
+    # a chain of 1200 2-strips still runs past the recursion limit, and raises
     # a ValueError, where the recursion once raised RecursionError
-    with pytest.raises(ValueError, match=r"length 1200 at n = 1200"):
+    long = make_partition([2] * 1200)
+    with pytest.raises(ValueError, match=r"length 1200 at n = 2400"):
         character(long, long)
     # the memo keeps only complete entries, so later answers are unchanged
     assert character(make_partition([1] * 500), make_partition([1] * 500)) == 1
@@ -240,26 +248,26 @@ def test_strip_to_the_empty_shape_is_shifted_to_zero():
 
 def test_vector_memo_of_21_is_keyed_by_width_and_code():
     # (2,1) has beads at 3 and 1, code 0b1010; at n = 3 the fields are 8 bits
-    # wide, and the memo of width 8 is keyed by code.  Its two 1-strips leave
-    # (2) and (1,1), each of whose 1-strip leaves (1), whose 1-strip leaves
-    # the empty shape, code 0
+    # wide, and the memo of width 8 is keyed by code.  V(w, 1) is the leaf
+    # f^(2,1) = 3!/(3 * 1 * 1) = 2, so the class 1^3 reaches no child
     clear_cache()
     assert _width(3) == 8
     assert character(make_partition([2, 1]), make_partition([1, 1, 1])) == 2
     assert set(characters._strip_cache) == {8}
     memo = characters._strip_cache[8]
-    assert set(memo) == {0b1010, 0b100, 0b110, 0b10, 0}
+    assert set(memo) == {0b1010}
     assert memo[0b1010] == [0, 2]
     # the whole row adds V(w, 2) and V(w, 3): no 2-strip, so the field of (2,1)
     # is 0 and V(w, 2) = V(w, 1), sharing its int; the 3-strip moves bead
-    # 3 -> 0 past bead 1, so the field of (3), shifted past
-    # p(3, parts <= 2) = 2 fields, is -1
-    assert _vector(memo, 8, 0b1010, 3, 3) == 2 - (1 << 16)
+    # 3 -> 0 past bead 1, leaving the empty shape, code 0, so the field of
+    # (3), shifted past p(3, parts <= 2) = 2 fields, is -1
+    assert _vector(memo, _counts(3, 3), 8, 0b1010, 3, 3) == 2 - (1 << 16)
     assert memo[0b1010] == [0, 2, 2, 2 - (1 << 16)] and memo[0b1010][2] is memo[0b1010][1]
+    assert set(memo) == {0b1010, 0}
     assert _fields(2 - (1 << 16), 8, 3) == [-1, 0, 2]
     # the row reads that vector, then drops the prefix list of (2,1) itself
     assert _char_row((2, 1), 3) == (-1, 0, 2)
-    assert set(memo) == {0b100, 0b110, 0b10, 0}
+    assert set(memo) == {0}
 
 
 def sub_shapes(parts, cap):
@@ -273,18 +281,19 @@ def sub_shapes(parts, cap):
 
 
 @pytest.mark.parametrize("triple, gamma, shapes, vectors", [
-    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 134, 444),
-    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 199, 696),
-    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 268, 985),
+    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 84, 344),
+    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 120, 538),
+    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 198, 845),
 ])
 def test_cold_oracle_strip_cache_size(triple, gamma, shapes, vectors):
     # one cold query fills the vector memo of its width alone, keyed by code,
     # for exactly these many sub-shapes of its three shapes, holding these
     # many prefix vectors in all, none longer than the sub-shape's size plus
     # one; a strip length that adds nothing shares the int of the entry
-    # before it.  The three queried shapes, whose n + 1 vectors each the rows
-    # hold, leave the memo once read: with them it held 137, 202 and 271
-    # shapes and 489, 747 and 1042 vectors
+    # before it.  A sub-shape is reached only through a strip of length 2 or
+    # more, since V(w, 1) is a leaf.  The three queried shapes, whose n + 1
+    # vectors each the rows hold, leave the memo once read: with them it held
+    # 87, 123 and 201 shapes and 389, 589 and 902 vectors
     clear_cache()
     assert kron_oracle(*(make_partition(p) for p in triple)).gamma == gamma
     n = sum(triple[0])
@@ -380,22 +389,33 @@ def test_cold_rows_past_the_exhaustive_sizes_are_certified():
 
 
 def test_certificate_refuses_a_row_under_python_optimize():
-    # with the field width too narrow the fields wrap; the certificate is an
-    # if, not an assert, so it refuses the row under python -O as well
+    # with the field width too narrow the fields wrap, and with the leaf
+    # f^w one too high on every proper sub-shape of (5,4,3,2) the classes
+    # with a 1-cycle, summed from those leaves, go wrong while chi(1^14) does
+    # not; the certificate is an if, not an assert, so it refuses both rows
+    # under python -O as well
     script = (
         "from kroncoef import IntegralityViolation, characters\n"
         "assert False, 'asserts are on'\n"
-        "characters._width = lambda n: 8\n"
-        "try:\n"
-        "    characters._char_row((5, 4, 3, 2), 14)\n"
-        "except IntegralityViolation as error:\n"
-        "    print('refused:', error)\n"
+        "leaf = characters._leaf\n"
+        "for name, wrong in (('_width', lambda n: 8),\n"
+        "                    ('_leaf', lambda w, m: leaf(w, m) + (m < 14))):\n"
+        "    real = getattr(characters, name)\n"
+        "    setattr(characters, name, wrong)\n"
+        "    characters.clear_cache()\n"
+        "    try:\n"
+        "        characters._char_row((5, 4, 3, 2), 14)\n"
+        "    except IntegralityViolation as error:\n"
+        "        print('refused:', error)\n"
+        "    setattr(characters, name, real)\n"
     )
     src = os.path.dirname(os.path.dirname(characters.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                         text=True, check=True, env=env, timeout=60).stdout
-    assert out.startswith("refused: the character row of (5, 4, 3, 2) fails"), out
+                         text=True, check=True, env=env, timeout=60).stdout.splitlines()
+    assert len(out) == 2, out
+    assert all(line.startswith("refused: the character row of (5, 4, 3, 2) fails")
+               for line in out), out
 
 
 def test_certificate_refuses_a_wrong_row(monkeypatch):
@@ -424,6 +444,32 @@ def test_class_sizes_match_centralizers_to_40():
         sizes = _class_sizes(n)
         assert sizes == tuple(nf // z_of(rho) for rho in _partition_tuples(n)), n
         assert sum(sizes) == nf, n
+
+
+def test_count_table_matches_a_brute_force_count_to_40():
+    # row m of _counts(n, top) holds the number of partitions of m with no
+    # part above a for every a <= min(m, top), here counted off the list of
+    # the partitions of m by their largest parts
+    brute = []
+    for m in range(41):
+        largest = Counter(parts[0] for parts in _partition_tuples(m) if parts)
+        brute.append(list(accumulate(largest[a] for a in range(m + 1))) if m else [1])
+    for n in range(41):
+        for top in range(n + 2):
+            table = _counts(n, top)
+            assert len(table) == n + 1, (n, top)
+            for m, row in enumerate(table):
+                assert row == brute[m][:min(m, top) + 1], (n, top, m)
+    clear_cache()
+
+
+def test_leaf_is_the_dimension_to_25_and_at_the_empty_shape():
+    # V(w, 1) = f^w from the hook lengths of the bead code, against
+    # _dimension from the column heights of the part tuple
+    assert _leaf(_code(()), 0) == _dimension(()) == 1
+    for n in range(1, 26):
+        for lam in _partition_tuples(n):
+            assert _leaf(_code(lam), n) == _dimension(lam), lam
 
 
 def test_dimensions():
@@ -561,9 +607,9 @@ def test_clear_cache_drops_the_vector_memo_and_the_counts():
     lam, mu, nu = (make_partition(p) for p in ([3, 2, 1], [4, 2], [3, 3]))
     clear_cache()
     kron_oracle(lam, mu, nu)
-    assert characters._strip_cache and _count.cache_info().currsize
+    assert characters._strip_cache and _counts.cache_info().currsize
     clear_cache()
-    assert not characters._strip_cache and not _count.cache_info().currsize
+    assert not characters._strip_cache and not _counts.cache_info().currsize
 
 
 def test_integrality_violation_fires_on_a_cache_hit(monkeypatch):

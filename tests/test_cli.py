@@ -208,6 +208,24 @@ class TestTableCommand:
             rows = result.stdout_bytes.count(b"\n") - (fmt == "csv")
             assert rows == len(shapes) * len(reader_pairs(shapes, family)), fmt
 
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_each_row_is_one_write(self, fmt):
+        # a row goes out in one write, its line end included, so an
+        # unbuffered standard output makes one system call per row
+        class CountingOut(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = CountingOut()
+        with contextlib.redirect_stdout(out):
+            cli.main(["table", "--n", "4", "--format", fmt], standalone_mode=False)
+        rows = out.getvalue().splitlines()
+        assert len(rows) == len(list(enumerate_partitions(4))) ** 3
+        assert out.writes == len(rows)
+
     def test_n_below_one_is_a_parse_error(self):
         for n in ("0", "-1"):
             result = invoke("table", "--n", n)
