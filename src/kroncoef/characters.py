@@ -32,15 +32,15 @@ size and largest part, ``_counts(n, top)``, built in one pass per a and
 fetched once per vector.
 
 ``_class_sizes(n)`` lists |C_rho| = n!/z_rho for each cycle type rho of S_n
-in the reverse lexicographic order of every character row, by one walk over
-(largest part, multiplicity) that carries z and builds no cycle type; the
-class table ``_classes(n)`` pairs those sizes with the part tuples.  Every
-row ``_char_row`` builds is certified before it is cached: it must satisfy
-sum over rho of |C_rho| chi(rho)**2 = n! and chi(1^n) = f^lam, checked by
-``if``, so also under ``python -O``, and a failure raises
-``IntegralityViolation``.  Bead codes are for shapes only.  Everything stays
-in arbitrary-precision integers.  This module is the independent ground
-truth the closed forms are tested against.
+in the reverse lexicographic order of every character row, by one loop over
+a stack of (largest part, multiplicity) prefixes that carries z and builds
+no cycle type; the class table ``_classes(n)`` pairs those sizes with the
+part tuples.  Every row ``_char_row`` builds is certified before it is
+cached: it must satisfy sum over rho of |C_rho| chi(rho)**2 = n! and
+chi(1^n) = f^lam, checked by ``if``, so also under ``python -O``, and a
+failure raises ``IntegralityViolation``.  Bead codes are for shapes only.
+Everything stays in arbitrary-precision integers.  This module is the
+independent ground truth the closed forms are tested against.
 
 ``kron_oracle`` answers one triple.  ``kron_oracle_column`` answers one pair
 (mu, nu) for a whole list of lambdas, as a verification sweep and a (lambda,
@@ -313,31 +313,30 @@ def _class_sizes(n: int) -> tuple[int, ...]:
     """|C_rho| = n!/z_rho for every cycle type rho of S_n, in enumeration
     (reverse lexicographic) order, without building rho.
 
-    walk(m, a, q) lists the partitions of m with no part above a that follow
-    a prefix whose classes have n!/z = q: for each largest part j from
-    min(a, m) down to 2, and each multiplicity c of j from the most down to
-    1, the rest with no part above j - 1.  The i-th copy of j multiplies z by
-    j * i, and the closing run of m ones by m!, so q is divided by those as
-    the walk goes and each size costs one division."""
+    One loop pops items (m, a, q) off a stack: the partitions of m with no
+    part above a, after a prefix whose classes have n!/z = q.  With only
+    ones left (a < 2 or m = 0) the item is one class, of size q // m!.
+    Otherwise it pushes its all-ones tail (m, 1, q) first, then, for each
+    largest part j = 2 .. min(a, m) and each number c = 1 .. m // j of copies
+    of j, the rest (m - c * j, j - 1, q / (j * 1) / ... / (j * c)): the i-th
+    copy of j multiplies z by j * i.  Pushed in that order, the most copies
+    of the largest part pop first, so the classes come out in reverse
+    lexicographic order, and each size costs one division."""
     factorials = list(accumulate(range(1, n + 1), mul, initial=1))
     sizes: list[int] = []
-    append = sizes.append
-
-    def walk(m: int, a: int, q: int) -> None:
-        for j in range(a if a < m else m, 1, -1):
-            runs, rest, q_run = [], m, q
+    stack = [(n, n, factorials[n])]
+    while stack:
+        m, a, q = stack.pop()
+        if a < 2 or not m:
+            sizes.append(q // factorials[m])
+            continue
+        stack.append((m, 1, q))
+        for j in range(2, (a if a < m else m) + 1):
+            rest, q_run = m, q
             for copies in range(1, m // j + 1):
                 rest -= j
                 q_run //= j * copies
-                runs.append((rest, q_run))
-            for rest, q_run in reversed(runs):
-                if j == 2 or not rest:
-                    append(q_run // factorials[rest])
-                else:
-                    walk(rest, j - 1, q_run)
-        append(q // factorials[m])
-
-    walk(n, n, factorials[n])
+                stack.append((rest, j - 1, q_run))
     return tuple(sizes)
 
 

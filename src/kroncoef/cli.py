@@ -33,6 +33,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import product
 
 import click
 
@@ -154,13 +155,6 @@ def _family_sides(shapes, family):
     return mus, nus
 
 
-def _family_pairs(shapes, family):
-    """(mu, nu) pairs of a family, in enumeration order: every mu of the
-    family with every nu of it."""
-    mus, nus = _family_sides(shapes, family)
-    return [(mu, nu) for mu in mus for nu in nus]
-
-
 @dataclass
 class SweepReport:
     """Outcome of one family's closed-form-versus-oracle sweep."""
@@ -196,7 +190,7 @@ def _sweep_chunk(family: str, n_max: int, first: int, step: int) -> SweepReport:
         lams = shapes[first::step]
         if not lams:
             continue
-        for mu, nu in _family_pairs(shapes, family):
+        for mu, nu in product(*_family_sides(shapes, family)):
             column = kron_oracle_column(mu, nu, lams)
             closed = [try_closed(provenance, lam, mu, nu) for lam in lams]
             report.triples_checked += len(lams)

@@ -10,14 +10,16 @@ import subprocess
 import sys
 import weakref
 from dataclasses import asdict
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kroncoef import (Partition, cli, closed_forms, compute, enumerate_partitions, hook_parts,
-                      two_row_parts)
+from kroncoef import (Partition, character, clear_cache, cli, closed_forms, compute,
+                      enumerate_partitions, hook_parts, kron_oracle, two_row_parts)
+from kroncoef.characters import kron_oracle_column
 from kroncoef.cli import main, run_sweep
 from kroncoef.closed_forms import InvariantViolation
 
@@ -325,7 +327,7 @@ class TestVerifyCommand:
         for family in cli.SWEEP_FAMILIES:
             chunks = [cli._sweep_chunk(family, 3, first, 3) for first in range(3)]
             serial = cli._sweep_chunk(family, 3, 0, 1)
-            pairs = len(cli._family_pairs(list(enumerate_partitions(3)), family))
+            pairs = len(list(product(*cli._family_sides(list(enumerate_partitions(3)), family))))
             assert chunks[2].triples_checked == pairs, family
             assert sum(c.triples_checked for c in chunks) == serial.triples_checked
             assert max(c.max_gamma for c in chunks) == serial.max_gamma
@@ -335,7 +337,8 @@ class TestVerifyCommand:
         for n in range(1, 13):
             shapes = list(enumerate_partitions(n))
             for family in cli.FAMILIES:
-                assert cli._family_pairs(shapes, family) == reader_pairs(shapes, family), (n, family)
+                pairs = list(product(*cli._family_sides(shapes, family)))
+                assert pairs == reader_pairs(shapes, family), (n, family)
 
     @pytest.mark.parametrize("family", ["two-row", "hook-hook", "hook-two-row"])
     def test_mismatches_are_reported(self, monkeypatch, family):
@@ -566,3 +569,50 @@ class TestOutputBytes:
             del out, err
         gc.collect()
         assert [ref[:2] for ref in refs if ref[2]() is not None] == []
+
+
+def _cli_call(*argv):
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.main(list(argv), standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == 0, argv
+    return call
+
+
+NO_GARBAGE_CALLS = {
+    "kron_oracle-n20": lambda: kron_oracle(Partition((8, 6, 4, 2)), Partition((7, 5, 3, 2, 2, 1)),
+                                           Partition((6, 5, 4, 3, 2))),
+    "kron_oracle_column": lambda: kron_oracle_column(
+        Partition((4, 3, 1)), Partition((3, 3, 2)), list(enumerate_partitions(8))),
+    "character": lambda: character(Partition((5, 4, 3, 2)), Partition((3, 3, 2, 2, 1, 1, 1, 1))),
+    "compute-oracle": _cli_call("compute", "--lambda", "4,3,2,1", "--mu", "5,3,2",
+                                "--nu", "4,4,2", "--format", "json"),
+    "compute-closed": _cli_call("compute", "--lambda", "5,3", "--mu", "6,2", "--nu", "4,4",
+                                "--format", "json"),
+    "table-csv": _cli_call("table", "--n", "6", "--format", "csv"),
+    "table-json": _cli_call("table", "--n", "6", "--format", "json"),
+    "verify": _cli_call("verify", "--n-max", "8", "--jobs", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_GARBAGE_CALLS))
+def test_no_entry_point_leaves_cyclic_garbage(name):
+    # a cold call frees everything it does not cache by reference counting:
+    # with the collector off and every unreachable object saved, one
+    # collection after the call finds nothing, so no reference cycle keeps
+    # a query's tables alive until the next full collection
+    clear_cache()
+    gc.collect()
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        NO_GARBAGE_CALLS[name]()
+        assert gc.collect() == 0, gc.garbage
+    finally:
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()
+        gc.garbage.clear()
