@@ -62,10 +62,10 @@ import sys
 import threading
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 # enumerate_partitions is unused here: the benchmark's tracer binds it (test_bench_bindings.py)
 from .partitions import Partition, _partition_tuples, enumerate_partitions
@@ -93,9 +93,9 @@ HOOK_TWO_ROW = "HookTwoRow"
 DELTA_RULE = "DeltaRule"
 
 
-@dataclass(frozen=True)
-class KroneckerResult:
-    """A Kronecker coefficient plus how it was obtained.
+class KroneckerResult(NamedTuple):
+    """A Kronecker coefficient plus how it was obtained: an immutable
+    NamedTuple that unpacks as (gamma, provenance, moves).
 
     ``moves`` records the symmetry normalization applied before a closed form
     fired: "permute(i,j,k)" means slot s of the normalized triple held entry

@@ -357,18 +357,26 @@ def _compute_block(lam: Partition, mu: Partition,
     _closed_answer as in compute.  The rows no closed form answers all come
     from one kron_oracle_column(lam, mu, nus), since gamma(nu, lam, mu) =
     gamma(lam, mu, nu); it is built only when the block has such a row.
-    Every gamma is checked to be nonnegative.
+    Each row gets one size comparison, calling _check_sizes for its message
+    only on a mismatch.  Every gamma is checked to be nonnegative: a closed
+    row by _closed_answer, an oracle row by one comparison, with
+    _nonnegative called only when the value is negative.
     """
+    n = lam.n
     head = lam.shape_code | mu.shape_code << 3
     column = None
     results = []
     for i, nu in enumerate(nus):
-        _check_sizes(lam, mu, nu)
+        if not (mu.n == nu.n == n):
+            _check_sizes(lam, mu, nu)
         found = _candidate(head | nu.shape_code << 6)
         if found is not None:
             results.append(_closed_answer(found, lam, mu, nu))
         else:
             if column is None:
                 column = kron_oracle_column(lam, mu, nus)
-            results.append(KroneckerResult(_nonnegative(column[i], lam, mu, nu), ORACLE))
+            gamma = column[i]
+            if gamma < 0:
+                _nonnegative(gamma, lam, mu, nu)
+            results.append(KroneckerResult(gamma, ORACLE))
     return results

@@ -686,3 +686,84 @@ class TestInvariants:
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                              text=True, check=True, env=env).stdout
         assert out.strip() == "raised"
+
+    def test_block_check_survives_optimize_flag(self):
+        script = (
+            "from kroncoef import closed_forms, enumerate_partitions, make_partition\n"
+            "lam = make_partition([3, 2, 1])\n"
+            "nus = list(enumerate_partitions(6))\n"
+            "at = nus.index(lam)\n"
+            "closed_forms.kron_oracle_column = (\n"
+            "    lambda lam, mu, nus: [-1 if i == at else 0 for i in range(len(nus))])\n"
+            "try:\n"
+            "    closed_forms._compute_block(lam, lam, nus)\n"
+            "except closed_forms.InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(closed_forms.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "raised"
+
+
+class TestResultRecord:
+    """KroneckerResult is an immutable, hashable record of (gamma, provenance, moves)."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = KroneckerResult(2, TWO_ROW_TWO_ROW)
+        assert positional == KroneckerResult(gamma=2, provenance=TWO_ROW_TWO_ROW, moves=())
+        assert positional.moves == ()
+
+    def test_repr(self):
+        result = compute(make_partition([4, 3, 1]), make_partition([6, 2]), make_partition([5, 3]))
+        assert repr(result) == "KroneckerResult(gamma=2, provenance='TwoRowTwoRow', moves=())"
+
+    def test_fields_cannot_be_assigned(self):
+        result = KroneckerResult(2, TWO_ROW_TWO_ROW)
+        with pytest.raises(AttributeError):
+            result.gamma = 3
+
+    def test_equal_results_hash_alike(self):
+        moves = ("permute(1,0,2)",)
+        first = KroneckerResult(1, HOOK_HOOK, moves)
+        second = KroneckerResult(gamma=1, provenance=HOOK_HOOK, moves=moves)
+        assert first == second and hash(first) == hash(second)
+
+
+def size_message(lam, mu, nu):
+    """The message _check_sizes raises for the triple."""
+    with pytest.raises(SizeMismatch) as caught:
+        closed_forms._check_sizes(lam, mu, nu)
+    return str(caught.value)
+
+
+class TestComputeBlockSizes:
+    """_compute_block refuses a triple of mixed sizes at the row compute would,
+    with compute's message."""
+
+    def test_first_nu_of_another_size_at_a_closed_row(self):
+        # the delta rule reads no size, so only the block's own check refuses (7)
+        lam = make_partition([3, 2, 1])
+        nus = [make_partition([7]), *enumerate_partitions(6)]
+        with pytest.raises(SizeMismatch) as caught:
+            closed_forms._compute_block(lam, lam, nus)
+        assert str(caught.value) == size_message(lam, lam, nus[0])
+
+    def test_first_nu_of_another_size_at_an_oracle_row(self):
+        lam = make_partition([3, 2, 1])
+        nus = [make_partition([3, 2, 1, 1]), *enumerate_partitions(6)]
+        with pytest.raises(SizeMismatch) as caught:
+            closed_forms._compute_block(lam, lam, nus)
+        assert str(caught.value) == size_message(lam, lam, nus[0])
+
+    def test_mu_of_another_size(self):
+        lam, mu = make_partition([3, 2, 1]), make_partition([4, 3])
+        nus = list(enumerate_partitions(6))
+        with pytest.raises(SizeMismatch) as caught:
+            closed_forms._compute_block(lam, mu, nus)
+        assert str(caught.value) == size_message(lam, mu, nus[0])
+
+    def test_empty_nus(self):
+        lam = make_partition([3, 2, 1])
+        assert closed_forms._compute_block(lam, lam, []) == []
