@@ -13,11 +13,13 @@ CLOSED_FORMS selects, valued by closed_forms._try_closed, against the
 oracle.
 
 Click only parses the arguments: every command writes its lines with print,
-to sys.stdout, and compute's error lines to sys.stderr, except table's plain
-and JSON rows, each one sys.stdout.write with its line end, so an unbuffered
-stream takes one write per row, where print makes two.  verify and selftest
-flush each line, so a piped sweep reports each family as it finishes; table
-rows and compute's lines are buffered.
+to sys.stdout, and compute's error lines to sys.stderr, except table's rows,
+in every format, and its CSV header, each one sys.stdout.write with its line
+end, so an unbuffered stream takes one write per row, where print makes two.
+No command writes through the csv module: a shape's CSV cell is its label,
+quoted when it holds a comma (_csv_cell), and table quotes each label once
+per table.  verify and selftest flush each line, so a piped sweep reports
+each family as it finishes; table rows and compute's lines are buffered.
 
 Each command imports only what it uses, so a start pays for no other
 command's modules: concurrent.futures with multiprocessing loads only in a
@@ -27,7 +29,6 @@ selftest.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -96,17 +97,15 @@ def _result_record(lam, mu, nu, result, elapsed_us):
     }
 
 
-def _csv_writer():
-    """CSV writer on standard output, LF line ends, header row written."""
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["lambda", "mu", "nu", "gamma", "provenance"])
-    return writer
+CSV_HEADER = "lambda,mu,nu,gamma,provenance"
 
 
-def _csv_fields(lam_label, mu_label, nu_label, result):
-    """One CSV row; the three shapes come as their text labels (str of the
-    Partition), so both commands write the same row for the same triple."""
-    return [lam_label, mu_label, nu_label, str(result.gamma), result.provenance]
+def _csv_cell(label):
+    """A shape's text label (str of the Partition) as a CSV cell: a label
+    holds only digits and commas, so it is quoted exactly when it holds a
+    comma, as csv.writer's minimal quoting does.  Both commands build their
+    shape cells here, so they write the same row for the same triple."""
+    return f'"{label}"' if "," in label else label
 
 
 @click.group()
@@ -136,7 +135,9 @@ def cmd_compute(lam, mu, nu, method, fmt):
     if fmt == "json":
         print(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)))
     elif fmt == "csv":
-        _csv_writer().writerow(_csv_fields(str(lam), str(mu), str(nu), result))
+        print(CSV_HEADER)
+        print(f"{_csv_cell(str(lam))},{_csv_cell(str(mu))},{_csv_cell(str(nu))},"
+              f"{result.gamma},{result.provenance}")
     else:
         print(f"gamma = {result.gamma}")
         print(f"provenance = {result.provenance}")
@@ -248,17 +249,18 @@ def cmd_table(n, family, fmt):
                     result, elapsed_us = _timed_compute(lam, mu, nu, AUTO)
                     write(json.dumps(_result_record(lam, mu, nu, result, elapsed_us)) + "\n")
         return
-    # labels are formed once per table; rows stream out a (lam, mu) block at
-    # a time, one line each
+    # labels and cells are formed once per table, and each block's head
+    # once; rows stream out a (lam, mu) block at a time, one line each
     blocks = ((lam, mu, _compute_block(lam, mu, nus)) for lam in shapes for mu in mus)
     labels = {p: str(p) for p in shapes}
     if fmt == "csv":
-        writer = _csv_writer()
-        nu_labels = [labels[nu] for nu in nus]
+        cells = {p: _csv_cell(label) for p, label in labels.items()}
+        nu_cells = [cells[nu] for nu in nus]
+        write(f"{CSV_HEADER}\n")
         for lam, mu, results in blocks:
-            lam_label, mu_label = labels[lam], labels[mu]
-            for nu_label, result in zip(nu_labels, results):
-                writer.writerow(_csv_fields(lam_label, mu_label, nu_label, result))
+            head = f"{cells[lam]},{cells[mu]},"
+            for nu_cell, result in zip(nu_cells, results):
+                write(f"{head}{nu_cell},{result.gamma},{result.provenance}\n")
         return
     nu_cells = [f"{labels[nu] or '-':>12}" for nu in nus]
     for lam, mu, results in blocks:

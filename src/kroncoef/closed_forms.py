@@ -357,18 +357,20 @@ def _compute_block(lam: Partition, mu: Partition,
     _closed_answer as in compute.  The rows no closed form answers all come
     from one kron_oracle_column(lam, mu, nus), since gamma(nu, lam, mu) =
     gamma(lam, mu, nu); it is built only when the block has such a row.
-    Each row gets one size comparison, calling _check_sizes for its message
-    only on a mismatch.  Every gamma is checked to be nonnegative: a closed
-    row by _closed_answer, an oracle row by one comparison, with
-    _nonnegative called only when the value is negative.
+    Every nu's size is compared once, before any row is evaluated, so the
+    first mis-sized nu is refused with _check_sizes' message wherever it
+    sits.  Every gamma is checked to be nonnegative: a closed row by
+    _closed_answer, an oracle row by one comparison, with _nonnegative
+    called only when the value is negative.
     """
     n = lam.n
+    for nu in nus:
+        if not (mu.n == nu.n == n):
+            _check_sizes(lam, mu, nu)
     head = lam.shape_code | mu.shape_code << 3
     column = None
     results = []
     for i, nu in enumerate(nus):
-        if not (mu.n == nu.n == n):
-            _check_sizes(lam, mu, nu)
         found = _candidate(head | nu.shape_code << 6)
         if found is not None:
             results.append(_closed_answer(found, lam, mu, nu))

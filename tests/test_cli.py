@@ -210,10 +210,11 @@ class TestTableCommand:
             rows = result.stdout_bytes.count(b"\n") - (fmt == "csv")
             assert rows == len(shapes) * len(reader_pairs(shapes, family)), fmt
 
-    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     def test_each_row_is_one_write(self, fmt):
         # a row goes out in one write, its line end included, so an
-        # unbuffered standard output makes one system call per row
+        # unbuffered standard output makes one system call per row; the CSV
+        # header is one write of its own
         class CountingOut(io.StringIO):
             writes = 0
 
@@ -225,7 +226,7 @@ class TestTableCommand:
         with contextlib.redirect_stdout(out):
             cli.main(["table", "--n", "4", "--format", fmt], standalone_mode=False)
         rows = out.getvalue().splitlines()
-        assert len(rows) == len(list(enumerate_partitions(4))) ** 3
+        assert len(rows) == len(list(enumerate_partitions(4))) ** 3 + (fmt == "csv")
         assert out.writes == len(rows)
 
     def test_n_below_one_is_a_parse_error(self):
@@ -246,6 +247,29 @@ class TestCsvOutput:
         assert single.stdout_bytes == b'lambda,mu,nu,gamma,provenance\n3,"2,1","2,1",1,DeltaRule\n'
         # both commands write the same row for the same triple
         assert single.stdout_bytes.splitlines()[1] in table.stdout_bytes.splitlines()
+
+    def test_empty_shapes_write_empty_cells(self):
+        result = invoke("compute", "--lambda", "", "--mu", "", "--nu", "", "--format", "csv")
+        assert result.exit_code == 0
+        assert result.stdout_bytes == b"lambda,mu,nu,gamma,provenance\n,,,1,DeltaRule\n"
+
+    def test_shape_cells_are_what_the_csv_module_writes(self):
+        # a cell stands first and last in a row as csv.writer would write its
+        # label there; a label alone on its row is no cell, so two are written
+        for n in range(13):
+            for shape in enumerate_partitions(n):
+                label = str(shape)
+                text = io.StringIO()
+                csv.writer(text, lineterminator="\n").writerow([label, label])
+                cell = cli._csv_cell(label)
+                assert f"{cell},{cell}\n" == text.getvalue(), shape
+
+    def test_benchmark_table_bytes_are_pinned(self):
+        # the table the benchmark's table-n10 workload writes
+        result = invoke("table", "--n", "10", "--family", "all", "--format", "csv")
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "f12952c4c646f0dc0c09f8c44c6454303d436f994851505dd9981d747800a722")
 
 
 class TestVerifyCommand:

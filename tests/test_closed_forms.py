@@ -739,8 +739,25 @@ def size_message(lam, mu, nu):
 
 
 class TestComputeBlockSizes:
-    """_compute_block refuses a triple of mixed sizes at the row compute would,
-    with compute's message."""
+    """_compute_block refuses a triple of mixed sizes before it evaluates any
+    row, at the first mis-sized nu, with compute's message."""
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_nu_of_another_size_first_or_last(self, monkeypatch, where):
+        # (3,2,1)^3 is an oracle row, and the block's column holds every nu,
+        # so a bad nu after it must be refused before the column is asked for
+        lam, bad = make_partition([3, 2, 1]), make_partition([3, 2, 1, 1])
+        shapes = list(enumerate_partitions(6))
+        nus = [bad, *shapes] if where == "first" else [*shapes, bad]
+
+        def refuse(*args):
+            raise AssertionError("a row was evaluated")
+
+        monkeypatch.setattr(closed_forms, "kron_oracle_column", refuse)
+        monkeypatch.setattr(closed_forms, "_closed_answer", refuse)
+        with pytest.raises(SizeMismatch) as caught:
+            closed_forms._compute_block(lam, lam, nus)
+        assert str(caught.value) == size_message(lam, lam, bad)
 
     def test_first_nu_of_another_size_at_a_closed_row(self):
         # the delta rule reads no size, so only the block's own check refuses (7)
