@@ -2,7 +2,7 @@
 character row and one cold oracle query, for n = 14, 16, ..., 24, the
 in-process verification sweep that certifies the closed forms against it,
 the CLI's table of every triple of one n, one warm call of each closed
-kernel, and one cold oracle query at each n of the frontier, 28 to 44.
+kernel, and one cold oracle query at each n of the frontier, 28 to 52.
 
     PYTHONPATH=src python scripts/bench_characters.py [--out BENCH_characters.json]
 
@@ -15,12 +15,10 @@ untimed setup, if it has one, and then times the figure's work alone.
 For each n it records
 
 * ``class_sizes_cold_ms``: ``_class_sizes(n)``, the class sizes
-  |C_rho| = n!/z_rho the oracle reads (``_classes(n)``, the class table,
-  on versions that have no ``_class_sizes``);
+  |C_rho| = n!/z_rho the oracle reads;
 * ``counts_cold_ms``: ``_counts(n, n)``, the table of partition counts
   p(m, parts <= a) for every a <= m <= n that a whole row's fields are
-  shifted and counted by (on versions that have no ``_counts``, the same
-  table filled through the memoized ``_count``);
+  shifted and counted by;
 * ``char_row_cold_ms``: ``_char_row(lam, n)`` for the first shape ``lam``
   of the fixed general triple of TRIPLES, with the class sizes as the
   untimed setup, so they are not part of this time;
@@ -55,16 +53,18 @@ not depend on the code under test.
 Under ``oracle_frontier`` it records, for each n in FRONTIER_N, one cold
 ``kron_oracle`` query on the five-row shapes of ``frontier_triple(n)``,
 each n in a child process of its own: the median and quartiles of REPS
-cold times in ms, the ``_strip_cache`` entries one query leaves and
-the child's peak resident set (``ru_maxrss``) in MB.  These are the
-figures an oracle size budget rests on.
+cold times in ms, the ``_strip_cache`` entries one query leaves, the
+bytes of the ints those entries hold (``memo_bytes``: ``sys.getsizeof``
+summed over the distinct int objects, so an int two entries share counts
+once) and the child's peak resident set (``ru_maxrss``) in MB.  These are
+the figures an oracle size budget rests on.
 
-Only ``clear_cache``, ``_class_sizes`` (or ``_classes`` where it is
-missing), ``_counts`` (or ``_count`` where it is missing), ``_char_row``,
+Only ``clear_cache``, ``_class_sizes``, ``_counts``, ``_char_row``,
 ``_strip_cache``, ``kron_oracle``, ``compute``, ``enumerate_partitions``,
 ``run_sweep``, ``SWEEP_FAMILIES``, ``cli.main`` and the three kernels
 ``kron_two_tworow``, ``kron_two_hooks`` and ``kron_hook_tworow`` are used,
-so the script runs unchanged against earlier versions of the package.
+so the script runs unchanged against earlier versions of the package
+that have them.
 
 To cite a before/after, do not set one file's median against another's
 quartiles: on a shared 2-CPU host two whole runs of the same code drift
@@ -110,7 +110,7 @@ from kroncoef.cli import SWEEP_FAMILIES, run_sweep
 REPS = 5
 SWEEP_N_MAX = (10, 12, 14)
 TABLE_N = (8, 9, 10)
-FRONTIER_N = (28, 32, 36, 40, 44)
+FRONTIER_N = (28, 32, 36, 40, 44, 48, 52)
 COMPUTE_N = 12
 COMPUTE_SAMPLE = 2000
 COMPUTE_SEED = 12
@@ -203,23 +203,17 @@ def kernel_warm_us() -> list[dict]:
     return rows
 
 
-# the class sizes the oracle reads; the class table on earlier versions
-CLASS_SIZES = getattr(characters, "_class_sizes", None) or characters._classes
-
-
-def counts(n: int):
-    """The count table of n: _counts(n, n), or on earlier versions
-    p(m, parts <= a) for every a <= m <= n through _count."""
-    if hasattr(characters, "_counts"):
-        return characters._counts(n, n)
-    return [[characters._count(m, a) for a in range(m + 1)] for m in range(n + 1)]
-
-
 def memo_entries() -> int:
-    """The (width, shape) entries of the vector memo, whether ``_strip_cache``
-    is keyed by (width, code) or holds one dict per width keyed by code."""
-    return sum(len(memo) if isinstance(memo, dict) else 1
-               for memo in characters._strip_cache.values())
+    """The (width, shape) entries of the vector memo, one dict per width."""
+    return sum(map(len, characters._strip_cache.values()))
+
+
+def memo_bytes() -> int:
+    """sys.getsizeof summed over the distinct int objects the entries of the
+    vector memo hold, whatever the sequence each entry is."""
+    ints = {id(x): x for memo in characters._strip_cache.values()
+            for entry in memo.values() for x in entry}
+    return sum(map(sys.getsizeof, ints.values()))
 
 
 def frontier_triple(n: int) -> list[tuple[int, ...]]:
@@ -233,11 +227,12 @@ def frontier_child(n: int) -> None:
     """Print the oracle_frontier row of n; run in a process of its own."""
     shapes = [make_partition(parts) for parts in frontier_triple(n)]
     oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
-    entries = memo_entries()
+    entries, held = memo_entries(), memo_bytes()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"n": n, "triple": [list(shape.parts) for shape in shapes],
                       **summary("oracle_cold_ms", oracle_s, 1e3),
-                      "strip_cache_entries": entries, "peak_rss_mb": round(rss_mb, 1)}))
+                      "strip_cache_entries": entries, "memo_bytes": held,
+                      "peak_rss_mb": round(rss_mb, 1)}))
 
 
 def oracle_frontier() -> list[dict]:
@@ -262,10 +257,11 @@ def main() -> None:
     for n, triple in TRIPLES.items():
         lam = triple[0]
         shapes = [make_partition(parts) for parts in triple]
-        row_s = cold_s(lambda: characters._char_row(lam, n), setup=lambda: CLASS_SIZES(n))[0]
+        row_s = cold_s(lambda: characters._char_row(lam, n),
+                       setup=lambda: characters._class_sizes(n))[0]
         entries = memo_entries()  # before the next clear_cache()
-        class_sizes_s = cold_s(lambda: CLASS_SIZES(n))[0]
-        counts_s = cold_s(lambda: counts(n))[0]
+        class_sizes_s = cold_s(lambda: characters._class_sizes(n))[0]
+        counts_s = cold_s(lambda: characters._counts(n, n))[0]
         oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
         rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],
                      **summary("class_sizes_cold_ms", class_sizes_s, 1e3),

@@ -20,16 +20,17 @@ k depends on n alone (|chi^lam| <= f^lam <= sqrt(n!)).  It is a machine width, 8
 bits, while one fits, and a whole number of bytes past 64, so one decoder,
 ``_fields``, reads every field at once: with ``array`` at a machine width,
 from the bytes otherwise.  V(w, a) does not depend on n, so the memo
-``_strip_cache`` holds one dict per width, keyed by shape code, with the
-prefix list [V(w, 0), V(w, 1), ...] of each shape; every size of that width
-shares it, and a shape whose whole row has been read leaves it.  One reader,
-``_vector_fields``, picks the width, reaches the memo, builds and decodes a
-vector and trims the memo, all under the one lock ``_strip_lock``, which
-``clear_cache`` takes too: threads take turns inside the recursion, so the
-module's functions are safe for concurrent use.  The partition counts
-p(m, parts <= a) that shift and count the fields come from one table per
-size and largest part, ``_counts(n, top)``, built in one pass per a and
-fetched once per vector.
+``_strip_cache`` holds one dict per width, keyed by shape code, with one
+immutable pair (top, V(w, top)) per shape: V(w, c) for c < top is the low
+bits of V(w, top), sign-extended, so no shorter vector is kept.  Every size
+of that width shares it, and a shape whose whole row has been read leaves
+it.  One reader, ``_vector_fields``, picks the width, reaches the memo,
+builds and decodes a vector and trims the memo.  Entries are written whole
+when a frame of the recursion returns and never changed in place, so the
+module's functions are safe for concurrent use without a lock.  The
+partition counts p(m, parts <= a) that shift and count the fields come from
+one table per size and largest part, ``_counts(n, top)``, built in one pass
+per a and fetched once per vector.
 
 ``_class_sizes(n)`` lists |C_rho| = n!/z_rho for each cycle type rho of S_n
 in the reverse lexicographic order of every character row, by one loop over
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from array import array
 from collections.abc import Sequence
 from functools import lru_cache
@@ -109,8 +109,7 @@ class KroneckerResult(NamedTuple):
     moves: tuple[str, ...] = ()
 
 
-_strip_cache: dict[int, dict[int, list[int]]] = {}
-_strip_lock = threading.Lock()
+_strip_cache: dict[int, dict[int, tuple[int, int]]] = {}
 
 
 def _code(parts: tuple[int, ...]) -> int:
@@ -174,8 +173,8 @@ def _leaf(w: int, m: int) -> int:
     return math.factorial(m) // hooks
 
 
-def _vector(memo: dict[int, list[int]], counts: list[list[int]], k: int, w: int, m: int,
-            a: int) -> int:
+def _vector(memo: dict[int, tuple[int, int]], counts: list[list[int]], k: int, w: int,
+            m: int, a: int) -> int:
     """V(w, a): chi^w at every cycle type of m = |w| with no part above a,
     0 <= a <= m, one signed k-bit field each, in ascending lexicographic
     order from the lowest field.
@@ -192,23 +191,26 @@ def _vector(memo: dict[int, list[int]], counts: list[list[int]], k: int, w: int,
     is shifted off the child (~child & (child + 1) is the lowest free
     position): every shape keeps one code.  Bit 0 of w is never set, so a
     bead landing anywhere else leaves nothing to shift.  The recursion stops
-    at strip length 1: a shape's prefix list starts as [V(w, 0), V(w, 1)],
-    with V(w, 1) = f^w from _leaf, and the strip loop starts at 2.
+    at strip length 1: a shape's vector starts as V(w, 1) = f^w from _leaf
+    (the empty shape's as V(0, 0) = 1), and the strip loop starts at 2.
 
     memo is the memo of width k and counts a table of _counts covering m
-    and a, which _vector_fields passes in under its lock: memo[w] holds the
-    prefix [V(w, 0), V(w, 1), ...], which grows by complete entries only, so
-    a RecursionError leaves nothing partial behind.  A strip length whose
-    strips sum to zero, or that has none, repeats the entry before it,
-    sharing its int."""
-    prefix = memo.get(w)
-    if prefix is None:
-        prefix = memo[w] = [0, _leaf(w, m)] if w else [1]
-    for strip in range(len(prefix), a + 1):
+    and a, which _vector_fields passes in: memo[w] is one immutable pair
+    (top, V(w, top)), written whole when a frame returns, so a
+    RecursionError leaves nothing partial behind and threads sharing the
+    memo never see an entry change under them (two that race on one shape
+    at worst leave the lower top, which is as correct).  Since V(w, top) is
+    V(w, a) plus fields above it, V(w, a) for a < top is the low
+    B = k * counts[m][a] bits of V(w, top), sign-extended: every field is
+    signed and under 2**(k - 1) in size, so V(w, a) lies strictly between
+    -2**(B - 1) and 2**(B - 1).  A child is read inline only when its top
+    is the length needed; any other read recurses."""
+    top, vector = memo.get(w) or (1 if w else 0, _leaf(w, m))
+    if a < top:
+        half = 1 << k * counts[m][a] - 1
+        return ((vector + half) & (2 * half - 1)) - half
+    for strip in range(top + 1, a + 1):
         movable = w & ~(w << strip) & ~((1 << strip) - 1)
-        if not movable:
-            prefix.append(prefix[-1])
-            continue
         rest = m - strip
         cap = strip if strip < rest else rest
         between = (1 << (strip - 1)) - 1
@@ -220,16 +222,18 @@ def _vector(memo: dict[int, list[int]], counts: list[list[int]], k: int, w: int,
             if child & 1:
                 child >>= (~child & (child + 1)).bit_length() - 1
             known = memo.get(child)
-            if known is not None and cap < len(known):
-                term = known[cap]
+            if known is not None and known[0] == cap:
+                term = known[1]
             else:
                 term = _vector(memo, counts, k, child, rest, cap)
             if ((w >> (bead.bit_length() - strip)) & between).bit_count() & 1:
                 total -= term
             else:
                 total += term
-        prefix.append(prefix[-1] + (total << k * counts[m][strip - 1]) if total else prefix[-1])
-    return prefix[a]
+        if total:
+            vector += total << k * counts[m][strip - 1]
+    memo[w] = a, vector
+    return vector
 
 
 def _vector_fields(parts: tuple[int, ...], n: int, a: int) -> list[int]:
@@ -239,20 +243,18 @@ def _vector_fields(parts: tuple[int, ...], n: int, a: int) -> list[int]:
 
     It picks the width of n, reaches that width's memo by the shape's bead
     code, fetches the count table _counts(n, a), builds the vector, trims
-    the memo and decodes the vector, all under _strip_lock, which
-    clear_cache takes too, so threads take turns inside the recursion and
-    none sees a prefix list another is growing.
-    At a = n the vector is the whole row, and the shape's own prefix list
-    leaves the memo: the row holds all of it, and a later, larger shape w
-    of the same width reaches this one only as a child, whose prefix up to
+    the memo and decodes the vector.  It takes no lock: every memo entry is
+    immutable and written whole (see _vector), so threads may share it.
+    At a = n the vector is the whole row, and the shape's own entry leaves
+    the memo: the row holds all of it, and a later, larger shape w of the
+    same width reaches this one only as a child, whose vector up to
     |w| - n at most it rebuilds from this shape's children, which stay."""
-    with _strip_lock:
-        k, code, counts = _width(n), _code(parts), _counts(n, a)
-        memo = _strip_cache.setdefault(k, {})
-        vector = _vector(memo, counts, k, code, n, a)
-        if a == n:
-            del memo[code]
-        return _fields(vector, k, counts[n][a])
+    k, code, counts = _width(n), _code(parts), _counts(n, a)
+    memo = _strip_cache.setdefault(k, {})
+    vector = _vector(memo, counts, k, code, n, a)
+    if a == n:
+        memo.pop(code, None)
+    return _fields(vector, k, counts[n][a])
 
 
 def character(lam: Partition, rho: Partition) -> int:
@@ -267,8 +269,8 @@ def character(lam: Partition, rho: Partition) -> int:
     are counted by.  Building V(lam, a) recurses once per strip down a chain
     of strips of length 2 or more (V(w, 1) is a leaf), up to n/2 levels
     deep, so past Python's recursion limit (at rho = 2^1200, say) it raises
-    ValueError naming the length of rho and n; the memo keeps only complete
-    entries, so later calls are unaffected."""
+    ValueError naming the length of rho and n; memo entries are written
+    when a frame returns, so later calls are unaffected."""
     if lam.n != rho.n:
         raise SizeMismatch(f"|{lam}| = {lam.n} but |{rho}| = {rho.n}")
     n = rho.n
@@ -438,9 +440,8 @@ def clear_cache() -> None:
     partition counts, the class sizes, the class table, the character rows, the
     one-entry pair-weight cache and the one-entry packed columns of
     kron_oracle_column; callers sweeping many n may use this between sizes
-    to bound memory.  The memo is cleared under _strip_lock."""
-    with _strip_lock:
-        _strip_cache.clear()
+    to bound memory."""
+    _strip_cache.clear()
     _counts.cache_clear()
     _class_sizes.cache_clear()
     _classes.cache_clear()

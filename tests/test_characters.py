@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
@@ -249,23 +250,28 @@ def test_strip_to_the_empty_shape_is_shifted_to_zero():
 def test_vector_memo_of_21_is_keyed_by_width_and_code():
     # (2,1) has beads at 3 and 1, code 0b1010; at n = 3 the fields are 8 bits
     # wide, and the memo of width 8 is keyed by code.  V(w, 1) is the leaf
-    # f^(2,1) = 3!/(3 * 1 * 1) = 2, so the class 1^3 reaches no child
+    # f^(2,1) = 3!/(3 * 1 * 1) = 2, so the class 1^3 reaches no child, and the
+    # entry is the pair (top, V(w, top)) = (1, 2)
     clear_cache()
     assert _width(3) == 8
     assert character(make_partition([2, 1]), make_partition([1, 1, 1])) == 2
     assert set(characters._strip_cache) == {8}
     memo = characters._strip_cache[8]
     assert set(memo) == {0b1010}
-    assert memo[0b1010] == [0, 2]
+    assert memo[0b1010] == (1, 2)
     # the whole row adds V(w, 2) and V(w, 3): no 2-strip, so the field of (2,1)
-    # is 0 and V(w, 2) = V(w, 1), sharing its int; the 3-strip moves bead
-    # 3 -> 0 past bead 1, leaving the empty shape, code 0, so the field of
-    # (3), shifted past p(3, parts <= 2) = 2 fields, is -1
+    # is 0; the 3-strip moves bead 3 -> 0 past bead 1, leaving the empty
+    # shape, code 0, whose entry is (0, 1), so the field of (3), shifted past
+    # p(3, parts <= 2) = 2 fields, is -1.  The entry is replaced whole
     assert _vector(memo, _counts(3, 3), 8, 0b1010, 3, 3) == 2 - (1 << 16)
-    assert memo[0b1010] == [0, 2, 2, 2 - (1 << 16)] and memo[0b1010][2] is memo[0b1010][1]
-    assert set(memo) == {0b1010, 0}
+    assert memo[0b1010] == (3, 2 - (1 << 16))
+    assert memo[0] == (0, 1)
     assert _fields(2 - (1 << 16), 8, 3) == [-1, 0, 2]
-    # the row reads that vector, then drops the prefix list of (2,1) itself
+    # a read below the top is the low 8 * p(3, parts <= a) bits, sign-extended,
+    # and leaves the entry as it was
+    assert [_vector(memo, _counts(3, 3), 8, 0b1010, 3, a) for a in (1, 2)] == [2, 2]
+    assert memo[0b1010] == (3, 2 - (1 << 16))
+    # the row reads that vector, then drops the entry of (2,1) itself
     assert _char_row((2, 1), 3) == (-1, 0, 2)
     assert set(memo) == {0}
 
@@ -280,20 +286,27 @@ def sub_shapes(parts, cap):
                 yield (first,) + rest
 
 
-@pytest.mark.parametrize("triple, gamma, shapes, vectors", [
-    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 84, 344),
-    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 120, 538),
-    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 198, 845),
+def memo_bytes(memo) -> int:
+    """sys.getsizeof summed over the distinct int objects the entries of one
+    width's memo hold."""
+    return sum(map(sys.getsizeof, {id(x): x for entry in memo.values() for x in entry}.values()))
+
+
+@pytest.mark.parametrize("triple, gamma, shapes, held", [
+    (([5, 4, 3, 2], [4, 4, 3, 2, 1], [6, 3, 3, 2]), 882, 84, 5128),
+    (([6, 4, 3, 2, 1], [5, 4, 4, 3], [4, 4, 3, 3, 2]), 2122, 120, 9372),
+    (([6, 5, 4, 3], [5, 5, 4, 2, 2], [7, 4, 4, 3]), 7336, 198, 16852),
 ])
-def test_cold_oracle_strip_cache_size(triple, gamma, shapes, vectors):
+def test_cold_oracle_strip_cache_size(triple, gamma, shapes, held):
     # one cold query fills the vector memo of its width alone, keyed by code,
-    # for exactly these many sub-shapes of its three shapes, holding these
-    # many prefix vectors in all, none longer than the sub-shape's size plus
-    # one; a strip length that adds nothing shares the int of the entry
-    # before it.  A sub-shape is reached only through a strip of length 2 or
-    # more, since V(w, 1) is a leaf.  The three queried shapes, whose n + 1
-    # vectors each the rows hold, leave the memo once read: with them it held
-    # 87, 123 and 201 shapes and 389, 589 and 902 vectors
+    # for exactly these many sub-shapes of its three shapes, with one
+    # (top, V(w, top)) pair per shape, top at most the sub-shape's size, and
+    # its ints taking these many bytes (the prefix lists of [V(w, 0), ...,
+    # V(w, top)] the memo held before took 9,904, 19,972 and 34,944).  A
+    # sub-shape is reached only through a strip of length 2 or more, since
+    # V(w, 1) is a leaf.  The three queried shapes, whose rows hold all of
+    # their vectors, leave the memo once read: with them it held 87, 123 and
+    # 201 shapes
     clear_cache()
     assert kron_oracle(*(make_partition(p) for p in triple)).gamma == gamma
     n = sum(triple[0])
@@ -301,68 +314,114 @@ def test_cold_oracle_strip_cache_size(triple, gamma, shapes, vectors):
     assert set(characters._strip_cache) == {_width(n)}
     memo = characters._strip_cache[_width(n)]
     assert len(memo) == shapes
-    assert sum(map(len, memo.values())) == vectors
     assert not any(_code(tuple(p)) in memo for p in triple)
-    for code, prefix in memo.items():
+    for code, entry in memo.items():
         assert code in sizes and sizes[code] < n
-        assert len(prefix) <= sizes[code] + 1
-        assert all(b is a for a, b in zip(prefix, prefix[1:]) if a == b)
+        assert type(entry) is tuple and len(entry) == 2 and type(entry[1]) is int
+        assert entry[0] <= sizes[code]
+    assert memo_bytes(memo) == held
+
+
+def test_a_read_below_the_top_equals_a_fresh_build():
+    # for every shape of n <= 12, V(w, a) read off an entry extended to the
+    # whole row, 1 <= a < n, is the V(w, a) a memo with nothing in it builds;
+    # in 511 of these 2,375 reads the top field, and so the sign the read
+    # extends, is negative.  A shape of n >= 1 is never asked for V(w, 0),
+    # which has no field
+    negative = 0
+    for n in range(1, 13):
+        k, counts = _width(n), _counts(n, n)
+        for lam in _partition_tuples(n):
+            w, memo = _code(lam), {}
+            _vector(memo, counts, k, w, n, n)
+            for a in range(1, n):
+                read = _vector(memo, counts, k, w, n, a)
+                assert memo[w][0] == n
+                assert read == _vector({}, counts, k, w, n, a), (lam, a)
+                negative += _fields(read, k, counts[n][a])[0] < 0
+    assert negative == 511
+
+
+# the class a reader reads while rows of S_16 are built: its largest part
+# differs from the builders' tops, so the threads extend and read entries of
+# one shape to different tops
+READ_CLASS = make_partition([7, 5, 2, 1, 1])
 
 
 def race(build, shapes, trials=30):
-    """Run build on alternate shapes in two threads, from empty memos, trials
-    times with the interpreter switching threads every microsecond, and
-    return the results of every trial and every exception raised."""
+    """Run build on every third shape in each of three threads, from empty
+    memos, while a fourth thread reads character(lam, READ_CLASS) for every
+    lam of S_16 and a fifth calls clear_cache() three times, trials times
+    with the interpreter switching threads every microsecond.  Return the
+    builders' results and the reader's values of every trial, and every
+    exception raised."""
     outcomes, errors = [], []
 
-    def work(share, results):
+    def work(task, items, results):
         try:
-            for shape in share:
-                results[shape] = build(shape)
+            for item in items:
+                results[item] = task(item)
         except Exception as error:
             errors.append(error)
 
+    def clear(_):
+        time.sleep(1e-3)
+        clear_cache()
+
+    def read(lam):
+        return character(lam, READ_CLASS)
+
+    lams = list(enumerate_partitions(READ_CLASS.n))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(trials):
             clear_cache()
             results: dict = {}
-            threads = [threading.Thread(target=work, args=(shapes[i::2], results))
-                       for i in range(2)]
+            reads: dict = {}
+            jobs = [(build, shapes[i::3], results) for i in range(3)]
+            jobs += [(read, lams, reads), (clear, range(3), {})]
+            threads = [threading.Thread(target=work, args=job) for job in jobs]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            outcomes.append(results)
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            outcomes.append((results, reads))
     finally:
         sys.setswitchinterval(interval)
     return outcomes, errors
 
 
+def reads_of_one_thread() -> dict:
+    clear_cache()
+    return {lam: character(lam, READ_CLASS) for lam in enumerate_partitions(READ_CLASS.n)}
+
+
 def test_threads_building_cold_rows_agree_with_one_thread():
-    # two threads build the cold rows of S_16 at once; the memo's lock lets
-    # one of them into the strip recursion at a time, so no trial raises and
-    # every row equals the one a single thread builds
+    # three threads build the cold rows of S_16 at once while a fourth reads
+    # one class and a fifth clears the caches; memo entries are immutable
+    # pairs, written whole, so no trial raises and every row and value
+    # equals the one a single thread builds
     n = 16
     shapes = list(_partition_tuples(n))
-    clear_cache()
+    reads = reads_of_one_thread()
     expected = {lam: _char_row(lam, n) for lam in shapes}
     outcomes, errors = race(lambda lam: _char_row(lam, n), shapes)
     assert not errors, errors[:3]
-    assert all(results == expected for results in outcomes)
+    assert all(outcome == (expected, reads) for outcome in outcomes)
 
 
 def test_threads_reading_one_class_agree_with_one_thread():
-    # the same for character at one cycle type, which grows prefix lists in
-    # the memo without taking any out
+    # the same for character at one cycle type, which extends entries in the
+    # memo without taking any out
     rho = make_partition([6, 4, 3, 2, 1])
     shapes = list(enumerate_partitions(16))
-    clear_cache()
+    reads = reads_of_one_thread()
     expected = {lam: character(lam, rho) for lam in shapes}
     outcomes, errors = race(lambda lam: character(lam, rho), shapes)
     assert not errors, errors[:3]
-    assert all(results == expected for results in outcomes)
+    assert all(outcome == (expected, reads) for outcome in outcomes)
 
 
 # six-row shapes at n = 32-40 whose dimension f^lam takes more than n + 20
@@ -386,6 +445,41 @@ def test_cold_rows_past_the_exhaustive_sizes_are_certified():
             assert row[-1] == dimension(make_partition(list(lam))), lam
             assert row[-1].bit_length() > n + 20, lam
             assert len(row) == len(_class_sizes(n))
+
+
+def stable_size(tails) -> int:
+    """The size m from which gamma(lam[n], mu[n], nu[n]) is constant in n,
+    for lam[n] = (n - |lam|, lam) and the same for the other two tails
+    (Murnaghan's stability): the smallest m >= B, with B the bound of
+    Briand, Orellana and Rosas, the minimum over the three roles of
+    |a| + |b| + c_1 (c_1 the first part of the third tail), at which every
+    padding is a partition, n - |t| >= t_1."""
+    sizes = [sum(tail) for tail in tails]
+    bound = min(sum(sizes) - size + tail[0] for size, tail in zip(sizes, tails))
+    return max(bound, *(size + tail[0] for size, tail in zip(sizes, tails)))
+
+
+def padded(tail, n):
+    return make_partition([n - sum(tail), *tail])
+
+
+def test_oracle_is_stable_past_the_stable_size():
+    # gamma of three seeded tails of 2-6 cells in at most 4 parts is its value
+    # at the stable size m for every n from max(m + 1, 24) to 34: shapes of
+    # 3-5 rows whose strips of length 24 and more no exhaustive test reaches.
+    # The 60 triples have m = 5-15, and 41 of them a nonzero gamma
+    rng = random.Random(20261020)
+    tails_of = {size: [p for p in _partition_tuples(size) if len(p) <= 4] for size in range(2, 7)}
+    compared, nonzero = 0, 0
+    for _ in range(60):
+        tails = [rng.choice(tails_of[rng.randint(2, 6)]) for _ in range(3)]
+        m = stable_size(tails)
+        stable = kron_oracle(*(padded(tail, m) for tail in tails)).gamma
+        nonzero += stable > 0
+        for n in range(max(m + 1, 24), 35):
+            assert kron_oracle(*(padded(tail, n) for tail in tails)).gamma == stable, (tails, n)
+            compared += 1
+    assert (compared, nonzero) == (660, 41)
 
 
 def test_certificate_refuses_a_row_under_python_optimize():
