@@ -16,7 +16,7 @@ For each n it records
 
 * ``class_sizes_cold_ms``: ``_class_sizes(n)``, the class sizes
   |C_rho| = n!/z_rho the oracle reads;
-* ``counts_cold_ms``: ``_counts(n, n)``, the table of partition counts
+* ``counts_cold_ms``: ``_counts(n)``, the table of partition counts
   p(m, parts <= a) for every a <= m <= n that a whole row's fields are
   shifted and counted by;
 * ``char_row_cold_ms``: ``_char_row(lam, n)`` for the first shape ``lam``
@@ -27,8 +27,11 @@ For each n it records
   benchmark workload times;
 
 and the number of ``_strip_cache`` entries, one per (width, shape), that
-one cold row leaves behind.  Under ``sweep_inprocess_ms`` it records, for each sweep family
-and n_max in SWEEP_N_MAX, ``run_sweep(family, n_max, jobs=1)``: the whole
+one cold row leaves behind.  ``per_n_work(n, triple)`` holds the work and
+setup of each of these four figures, so a test can run each once.
+
+Under ``sweep_inprocess_ms`` it records, for each sweep family and n_max
+in SWEEP_N_MAX, ``run_sweep(family, n_max, jobs=1)``: the whole
 sweep in this process, oracle and closed forms together.  Under
 ``table_cold_ms`` it records, for each n in TABLE_N,
 ``table --n N --family all --format csv`` through ``cli.main`` with
@@ -59,12 +62,13 @@ summed over the distinct int objects, so an int two entries share counts
 once) and the child's peak resident set (``ru_maxrss``) in MB.  These are
 the figures an oracle size budget rests on.
 
-Only ``clear_cache``, ``_class_sizes``, ``_counts``, ``_char_row``,
+Only ``clear_cache``, ``_class_sizes``, ``_counts(n)``, ``_char_row``,
 ``_strip_cache``, ``kron_oracle``, ``compute``, ``enumerate_partitions``,
 ``run_sweep``, ``SWEEP_FAMILIES``, ``cli.main`` and the three kernels
 ``kron_two_tworow``, ``kron_two_hooks`` and ``kron_hook_tworow`` are used,
 so the script runs unchanged against earlier versions of the package
-that have them.
+that have them with these signatures (``_counts`` once took a largest part
+after n).
 
 To cite a before/after, do not set one file's median against another's
 quartiles: on a shared 2-CPU host two whole runs of the same code drift
@@ -216,6 +220,18 @@ def memo_bytes() -> int:
     return sum(map(sys.getsizeof, ints.values()))
 
 
+def per_n_work(n: int, triple) -> dict:
+    """The work and the untimed setup (or None) of each cold figure of one
+    row of n, by key, in the order they are timed: the row first, since
+    the strip-cache entries are read off it."""
+    lam, shapes = triple[0], [make_partition(parts) for parts in triple]
+    return {"char_row_cold_ms": (lambda: characters._char_row(lam, n),
+                                 lambda: characters._class_sizes(n)),
+            "class_sizes_cold_ms": (lambda: characters._class_sizes(n), None),
+            "counts_cold_ms": (lambda: characters._counts(n), None),
+            "oracle_cold_ms": (lambda: characters.kron_oracle(*shapes), None)}
+
+
 def frontier_triple(n: int) -> list[tuple[int, ...]]:
     """Three five-row shapes of n, no two alike: the first rows of the tails
     (n//4, n//6, n//8, 1), (n//5, n//7, 2, 1) and (n//3, n//9, 1, 1)."""
@@ -255,19 +271,11 @@ def main() -> None:
         return
     rows = []
     for n, triple in TRIPLES.items():
-        lam = triple[0]
-        shapes = [make_partition(parts) for parts in triple]
-        row_s = cold_s(lambda: characters._char_row(lam, n),
-                       setup=lambda: characters._class_sizes(n))[0]
-        entries = memo_entries()  # before the next clear_cache()
-        class_sizes_s = cold_s(lambda: characters._class_sizes(n))[0]
-        counts_s = cold_s(lambda: characters._counts(n, n))[0]
-        oracle_s = cold_s(lambda: characters.kron_oracle(*shapes))[0]
-        rows.append({"n": n, "lambda": list(lam), "triple": [list(p) for p in triple],
-                     **summary("class_sizes_cold_ms", class_sizes_s, 1e3),
-                     **summary("counts_cold_ms", counts_s, 1e3),
-                     **summary("char_row_cold_ms", row_s, 1e3), "strip_cache_entries": entries,
-                     **summary("oracle_cold_ms", oracle_s, 1e3)})
+        rows.append({"n": n, "lambda": list(triple[0]), "triple": [list(p) for p in triple]})
+        for key, (work, setup) in per_n_work(n, triple).items():
+            rows[-1].update(summary(key, cold_s(work, setup)[0], 1e3))
+            if key == "char_row_cold_ms":
+                rows[-1]["strip_cache_entries"] = memo_entries()  # before the next clear_cache()
         print(json.dumps(rows[-1]))
     sweeps = []
     for family in SWEEP_FAMILIES:

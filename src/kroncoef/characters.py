@@ -23,14 +23,22 @@ from the bytes otherwise.  V(w, a) does not depend on n, so the memo
 ``_strip_cache`` holds one dict per width, keyed by shape code, with one
 immutable pair (top, V(w, top)) per shape: V(w, c) for c < top is the low
 bits of V(w, top), sign-extended, so no shorter vector is kept.  Every size
-of that width shares it, and a shape whose whole row has been read leaves
-it.  One reader, ``_vector_fields``, picks the width, reaches the memo,
-builds and decodes a vector and trims the memo.  Entries are written whole
-when a frame of the recursion returns and never changed in place, so the
-module's functions are safe for concurrent use without a lock.  The
-partition counts p(m, parts <= a) that shift and count the fields come from
-one table per size and largest part, ``_counts(n, top)``, built in one pass
-per a and fetched once per vector.
+of that width shares it.  Only whole character rows build vectors:
+``_char_row`` picks the width, reaches the memo, builds V(lam, n), drops
+lam's own entry, which the row holds all of, and decodes the vector.
+Entries are written whole when a frame of the recursion returns and never
+changed in place, so the module's functions are safe for concurrent use
+without a lock.  The partition counts p(m, parts <= a) that shift and
+count the fields come from one table per size, ``_counts(n)``, built in
+one pass per a and fetched once per row.
+
+``character(lam, rho)`` answers one class without vectors or the memo: it
+walks rho's parts of length 2 or more, largest first, one level per part,
+keeping a dict from bead code to signed weight; each level moves every
+state's strips of that length by the same bead shift and sign test as the
+vector recursion and merges equal children, and the leaves f^w of the
+states left give the sum.  Its cost is the strip states it reaches along
+rho.
 
 ``_class_sizes(n)`` lists |C_rho| = n!/z_rho for each cycle type rho of S_n
 in the reverse lexicographic order of every character row, by one loop over
@@ -124,16 +132,16 @@ def _code(parts: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _counts(n: int, top: int) -> list[list[int]]:
+def _counts(n: int) -> list[list[int]]:
     """The table of p(m, parts <= a), the number of partitions of m with no
     part above a, and so the number of fields of V(w, a) for |w| = m: row m
-    holds it for 0 <= a <= min(m, top), for every 0 <= m <= n.  It is built
-    in one pass per a by p(m, <= a) = p(m, <= a - 1) + p(m - a, <= a): in
-    pass a the last entry of row m - a is p(m - a, <= min(a, m - a)), since
-    that row gained its entry a earlier in the pass or was complete before
-    it.  The rows are lists that every caller shares and none changes."""
+    holds it for 0 <= a <= m, for every 0 <= m <= n.  It is built in one
+    pass per a by p(m, <= a) = p(m, <= a - 1) + p(m - a, <= a): in pass a
+    the last entry of row m - a is p(m - a, <= min(a, m - a)), since that
+    row gained its entry a earlier in the pass or was complete before it.
+    The rows are lists that every caller shares and none changes."""
     counts = [[1]] + [[0] for _ in range(n)]
-    for a in range(1, min(n, top) + 1):
+    for a in range(1, n + 1):
         for m in range(a, n + 1):
             row = counts[m]
             row.append(row[-1] + counts[m - a][-1])
@@ -194,8 +202,8 @@ def _vector(memo: dict[int, tuple[int, int]], counts: list[list[int]], k: int, w
     at strip length 1: a shape's vector starts as V(w, 1) = f^w from _leaf
     (the empty shape's as V(0, 0) = 1), and the strip loop starts at 2.
 
-    memo is the memo of width k and counts a table of _counts covering m
-    and a, which _vector_fields passes in: memo[w] is one immutable pair
+    memo is the memo of width k and counts a table of _counts covering m,
+    which _char_row passes in: memo[w] is one immutable pair
     (top, V(w, top)), written whole when a frame returns, so a
     RecursionError leaves nothing partial behind and threads sharing the
     memo never see an entry change under them (two that race on one shape
@@ -236,56 +244,36 @@ def _vector(memo: dict[int, tuple[int, int]], counts: list[list[int]], k: int, w
     return vector
 
 
-def _vector_fields(parts: tuple[int, ...], n: int, a: int) -> list[int]:
-    """The p(n, parts <= a) fields of V(parts, a), top field first (see
-    _vector and _fields), for the shape with these parts, n = |parts| and
-    0 <= a <= n: the one reader of _strip_cache.
-
-    It picks the width of n, reaches that width's memo by the shape's bead
-    code, fetches the count table _counts(n, a), builds the vector, trims
-    the memo and decodes the vector.  It takes no lock: every memo entry is
-    immutable and written whole (see _vector), so threads may share it.
-    At a = n the vector is the whole row, and the shape's own entry leaves
-    the memo: the row holds all of it, and a later, larger shape w of the
-    same width reaches this one only as a child, whose vector up to
-    |w| - n at most it rebuilds from this shape's children, which stay."""
-    k, code, counts = _width(n), _code(parts), _counts(n, a)
-    memo = _strip_cache.setdefault(k, {})
-    vector = _vector(memo, counts, k, code, n, a)
-    if a == n:
-        memo.pop(code, None)
-    return _fields(vector, k, counts[n][a])
-
-
 def character(lam: Partition, rho: Partition) -> int:
     """Character value of the irreducible indexed by lam at cycle type rho.
 
-    It reads the field of rho in V(lam, rho[0]) (see _vector_fields), which
-    holds lam's character at every cycle type with no part above rho[0], so
-    its cost grows with p(n, parts <= rho[0]).  The field of rho counts the
-    cycle types of n below it in ascending lexicographic order: at each part
-    rho[i], the p(rest, parts <= rho[i] - 1) of the remaining size that start
-    lower, read from the table _counts(n, rho[0]) that the vector's fields
-    are counted by.  Building V(lam, a) recurses once per strip down a chain
-    of strips of length 2 or more (V(w, 1) is a leaf), up to n/2 levels
-    deep, so past Python's recursion limit (at rho = 2^1200, say) it raises
-    ValueError naming the length of rho and n; memo entries are written
-    when a frame returns, so later calls are unaffected."""
+    The Murnaghan-Nakayama rule removes one strip per part of rho, in any
+    order: here rho's parts of length 2 or more, largest first, from a dict
+    of states, bead code to signed weight, that starts at {code(lam): 1}.
+    Part r moves every r-strip of every state (the bead shift, zero-part
+    shift and sign of _vector) and merges equal children.  Each state w left
+    has one cell per 1-cycle of rho, and those cycles contribute its leaf
+    f^w (see _leaf).  Nothing is memoized and nothing recurses, so the cost
+    is the strip states reached along rho, and every cycle type is
+    answered, however many parts it has."""
     if lam.n != rho.n:
         raise SizeMismatch(f"|{lam}| = {lam.n} but |{rho}| = {rho.n}")
-    n = rho.n
-    top = rho.parts[0] if n else 0
-    try:
-        fields = _vector_fields(lam.parts, n, top)
-    except RecursionError:
-        raise ValueError(f"cycle type of length {len(rho)} at n = {n}: the strip "
-                         "recursion, one level per strip of length 2 or more, runs "
-                         "past the recursion limit") from None
-    counts, below, rest = _counts(n, top), 0, n
-    for part in rho.parts:
-        below += counts[rest][part - 1]
-        rest -= part
-    return fields[-1 - below]
+    states, ones = {_code(lam.parts): 1}, rho.parts.count(1)
+    for strip in rho.parts[:len(rho.parts) - ones]:
+        between = (1 << (strip - 1)) - 1
+        children: dict[int, int] = {}
+        for w, weight in states.items():
+            movable = w & ~(w << strip) & ~((1 << strip) - 1)
+            while movable:
+                bead = movable & -movable
+                movable ^= bead
+                child = w ^ bead ^ (bead >> strip)
+                if child & 1:
+                    child >>= (~child & (child + 1)).bit_length() - 1
+                odd = ((w >> (bead.bit_length() - strip)) & between).bit_count() & 1
+                children[child] = children.get(child, 0) + (-weight if odd else weight)
+        states = children
+    return sum(weight * _leaf(w, ones) for w, weight in states.items())
 
 
 def dimension(lam: Partition) -> int:
@@ -352,10 +340,22 @@ def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 @lru_cache(maxsize=None)
 def _char_row(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Character values of lam across all classes of S_n, aligned with
-    _classes(n): the fields of V(lam, n) (see _vector_fields), read from the
-    top, since _classes(n) runs in reverse lexicographic order.
-    The row is certified before it is cached (see IntegralityViolation)."""
-    row = tuple(_vector_fields(lam, n, n))
+    _classes(n): the fields of V(lam, n) (see _vector), read from the top,
+    since _classes(n) runs in reverse lexicographic order.
+
+    It picks the width of n, reaches that width's memo, fetches _counts(n),
+    builds the vector and decodes it, taking no lock: every memo entry is
+    immutable and written whole (see _vector), so threads may share it.
+    lam's own entry then leaves the memo: the row holds all of it, and a
+    later, larger shape w of the same width reaches lam only as a child,
+    whose vector up to |w| - n at most it rebuilds from lam's children,
+    which stay.  The row is certified before it is cached (see
+    IntegralityViolation)."""
+    k, code, counts = _width(n), _code(lam), _counts(n)
+    memo = _strip_cache.setdefault(k, {})
+    vector = _vector(memo, counts, k, code, n, n)
+    memo.pop(code, None)
+    row = tuple(_fields(vector, k, counts[n][n]))
     if (sum(map(mul, _class_sizes(n), map(mul, row, row))) != math.factorial(n)
             or row[-1] != _dimension(lam)):
         raise IntegralityViolation(
