@@ -25,6 +25,9 @@ For each n it records
 * ``oracle_cold_ms``: ``kron_oracle`` on the whole triple: the class
   sizes, three cold rows and the class sum, the layer the ``oracle-cold``
   benchmark workload times;
+* ``tracemalloc_peak_bytes``: the tracemalloc peak of one cold
+  ``kron_oracle`` query on the triple, taken by ``oracle_peak_bytes`` in a
+  pass of its own, untimed, since tracing slows the query roughly tenfold;
 
 and the number of ``_strip_cache`` entries, one per (width, shape), that
 one cold row leaves behind.  ``per_n_work(n, triple)`` holds the work and
@@ -59,16 +62,22 @@ each n in a child process of its own: the median and quartiles of REPS
 cold times in ms, the ``_strip_cache`` entries one query leaves, the
 bytes of the ints those entries hold (``memo_bytes``: ``sys.getsizeof``
 summed over the distinct int objects, so an int two entries share counts
-once) and the child's peak resident set (``ru_maxrss``) in MB.  These are
-the figures an oracle size budget rests on.
+once), the child's peak resident set (``ru_maxrss``) in MB, read before
+the traced pass, and ``tracemalloc_peak_bytes`` as for each n above.
+These are the figures an oracle size budget rests on.
+
+``tracemalloc_peak_bytes`` is exact: two passes on the same triple read
+the same bytes, run after run, where a timing drifts.  Each pass first
+makes one untraced cold query of the same triple, because a process's
+first query reads higher (at n = 8, 6,124 B in one process, where every
+later query read 5,612 B).
 
 Only ``clear_cache``, ``_class_sizes``, ``_counts(n)``, ``_char_row``,
 ``_strip_cache``, ``kron_oracle``, ``compute``, ``enumerate_partitions``,
 ``run_sweep``, ``SWEEP_FAMILIES``, ``cli.main`` and the three kernels
 ``kron_two_tworow``, ``kron_two_hooks`` and ``kron_hook_tworow`` are used,
 so the script runs unchanged against earlier versions of the package
-that have them with these signatures (``_counts`` once took a largest part
-after n).
+that have them with these signatures.
 
 To cite a before/after, do not set one file's median against another's
 quartiles: on a shared 2-CPU host two whole runs of the same code drift
@@ -98,6 +107,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 from kroncoef import (
     characters,
@@ -214,10 +224,26 @@ def memo_entries() -> int:
 
 def memo_bytes() -> int:
     """sys.getsizeof summed over the distinct int objects the entries of the
-    vector memo hold, whatever the sequence each entry is."""
+    vector memo hold."""
     ints = {id(x): x for memo in characters._strip_cache.values()
             for entry in memo.values() for x in entry}
     return sum(map(sys.getsizeof, ints.values()))
+
+
+def oracle_peak_bytes(shapes) -> int:
+    """The tracemalloc peak of one cold kron_oracle query on shapes, after
+    one untraced cold query of the same shapes: a process's first query
+    allocates more than every later one.  The cache is left cleared."""
+    characters.clear_cache()
+    characters.kron_oracle(*shapes)
+    characters.clear_cache()
+    tracemalloc.start()
+    try:
+        characters.kron_oracle(*shapes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        characters.clear_cache()
 
 
 def per_n_work(n: int, triple) -> dict:
@@ -247,6 +273,7 @@ def frontier_child(n: int) -> None:
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"n": n, "triple": [list(shape.parts) for shape in shapes],
                       **summary("oracle_cold_ms", oracle_s, 1e3),
+                      "tracemalloc_peak_bytes": oracle_peak_bytes(shapes),
                       "strip_cache_entries": entries, "memo_bytes": held,
                       "peak_rss_mb": round(rss_mb, 1)}))
 
@@ -276,6 +303,8 @@ def main() -> None:
             rows[-1].update(summary(key, cold_s(work, setup)[0], 1e3))
             if key == "char_row_cold_ms":
                 rows[-1]["strip_cache_entries"] = memo_entries()  # before the next clear_cache()
+        shapes = [make_partition(parts) for parts in triple]
+        rows[-1]["tracemalloc_peak_bytes"] = oracle_peak_bytes(shapes)
         print(json.dumps(rows[-1]))
     sweeps = []
     for family in SWEEP_FAMILIES:

@@ -262,9 +262,9 @@ def cmd_table(n, family, fmt):
             for nu_cell, result in zip(nu_cells, results):
                 write(f"{head}{nu_cell},{result.gamma},{result.provenance}\n")
         return
-    nu_cells = [f"{labels[nu] or '-':>12}" for nu in nus]
+    nu_cells = [f"{labels[nu]:>12}" for nu in nus]
     for lam, mu, results in blocks:
-        head = f"{labels[lam] or '-':>16}  {labels[mu] or '-':>12}  "
+        head = f"{labels[lam]:>16}  {labels[mu]:>12}  "
         for nu_cell, result in zip(nu_cells, results):
             write(f"{head}{nu_cell}  {result.gamma:>4}  {result.provenance}\n")
 

@@ -3,8 +3,10 @@ two-row or hook shapes, plus the symmetry-normalizing dispatcher.
 
 Every formula is exact and certified against the character oracle by the test
 suite.  The sanctioned symmetry moves are: any permutation of (lambda, mu, nu),
-and conjugating any two of the three shapes simultaneously.  CLOSED_FORMS states
-once the shape classes each form needs; compute and the CLI's sweep read it.
+and conjugating any two of the three shapes simultaneously; their 24
+combinations are walked in one documented order by _candidate, which stops
+at the first that a closed form fits.  CLOSED_FORMS states once the shape
+classes each form needs; compute and the CLI's sweep read it.
 No shape is classified here: each Partition carries the classes of its
 shape and of its conjugate in its shape_code, set once by its constructor
 (partitions._shape_code states the bit layout).  compute's dispatch reads
@@ -218,41 +220,8 @@ def kron_hook_tworow(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _nonnegative(gamma, lam, mu, nu)
 
 
+# the pairs of slots conjugated together, none first
 _CONJ_PATTERNS: tuple[tuple[int, int] | None, ...] = (None, (0, 1), (0, 2), (1, 2))
-
-# in lexicographic order, the identity first
-_PERMUTATIONS: tuple[tuple[int, ...], ...] = tuple(permutations(range(3)))
-
-
-class _Variant(NamedTuple):
-    """One entry of the symmetry table: the sources of the three slots as
-    indices into (lam, mu, nu, lam', mu', nu'), and the moves they record."""
-
-    sources: tuple[int, int, int]
-    moves: tuple[str, ...]
-
-
-def _build_variants() -> tuple[_Variant, ...]:
-    """All 24 symmetry variants in the documented deterministic order:
-    the plain permutations first (identity leading), then each
-    pairwise-conjugation pattern crossed with the permutations."""
-    table = []
-    for pattern in _CONJ_PATTERNS:
-        for perm in _PERMUTATIONS:
-            sources = list(perm)
-            moves: tuple[str, ...] = ()
-            if perm != (0, 1, 2):
-                moves += (f"permute({perm[0]},{perm[1]},{perm[2]})",)
-            if pattern is not None:
-                i, j = pattern
-                sources[i] += 3
-                sources[j] += 3
-                moves += (f"conjugate({i},{j})",)
-            table.append(_Variant(tuple(sources), moves))
-    return tuple(table)
-
-
-_VARIANTS = _build_variants()
 
 
 class ClosedForm(NamedTuple):
@@ -277,15 +246,28 @@ CLOSED_FORMS = (
 
 
 @lru_cache(maxsize=None)  # keys are 18-bit signatures
-def _candidate(signature: int) -> tuple[_Variant, str] | None:
-    """The first variant, in table order, whose slot classes hold the bits of
-    a row of CLOSED_FORMS, with that row's provenance; None when none does.
-    Every form fires once its classes match, so this decides the answer."""
-    for variant in _VARIANTS:
-        lam, mu, nu = (signature >> 3 * s & 7 for s in variant.sources)
-        for form in CLOSED_FORMS:
-            if lam & form.lam == form.lam and mu & form.mu == form.mu and nu & form.nu == form.nu:
-                return variant, form.provenance
+def _candidate(signature: int) -> tuple[tuple[int, ...], tuple[str, ...], str] | None:
+    """(sources, moves, provenance) of the first symmetry variant whose slot
+    classes hold the bits of a row of CLOSED_FORMS; None when none does.
+
+    The 24 variants are walked in the documented order: each pattern of
+    _CONJ_PATTERNS, none first, and within it the permutations of the three
+    slots in lexicographic order, the identity first.  sources fill the
+    slots from (lam, mu, nu, lam', mu', nu'), and moves record the
+    permutation, unless it is the identity, then the conjugated pair; they
+    are formatted only for the variant returned.  Every form fires once its
+    classes match, so this decides the answer."""
+    for pattern in _CONJ_PATTERNS:
+        for perm in permutations(range(3)):
+            sources = tuple(s + 3 if pattern and slot in pattern else s
+                            for slot, s in enumerate(perm))
+            lam, mu, nu = (signature >> 3 * s & 7 for s in sources)
+            for form in CLOSED_FORMS:
+                if lam & form.lam == form.lam and mu & form.mu == form.mu and nu & form.nu == form.nu:
+                    moves = () if perm == (0, 1, 2) else (f"permute({perm[0]},{perm[1]},{perm[2]})",)
+                    if pattern:
+                        moves += (f"conjugate({pattern[0]},{pattern[1]})",)
+                    return sources, moves, form.provenance
     return None
 
 
@@ -301,20 +283,19 @@ def _try_closed(provenance: str, lam: Partition, mu: Partition, nu: Partition) -
     return kron_hook_tworow(lam, mu, nu)
 
 
-def _closed_answer(found: tuple[_Variant, str], lam: Partition, mu: Partition,
-                   nu: Partition) -> KroneckerResult:
-    """The answer of _candidate's (variant, provenance) for the triple: the
-    variant's three slots are filled from (lam, mu, nu, lam', mu', nu'),
-    building only the conjugates it uses, and evaluated by _try_closed; gamma
-    is checked to be nonnegative and the variant's moves are recorded."""
-    variant, provenance = found
+def _closed_answer(found: tuple[tuple[int, ...], tuple[str, ...], str], lam: Partition,
+                   mu: Partition, nu: Partition) -> KroneckerResult:
+    """The answer of _candidate's (sources, moves, provenance) for the
+    triple: the three slots are filled from (lam, mu, nu, lam', mu', nu'),
+    building only the conjugates they use, and evaluated by _try_closed;
+    gamma is checked to be nonnegative and the moves are recorded."""
+    (i, j, k), moves, provenance = found
     shapes = (lam, mu, nu)
-    i, j, k = variant.sources
     gamma = _try_closed(provenance,
                         shapes[i] if i < 3 else conjugate(shapes[i - 3]),
                         shapes[j] if j < 3 else conjugate(shapes[j - 3]),
                         shapes[k] if k < 3 else conjugate(shapes[k - 3]))
-    return KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, variant.moves)
+    return KroneckerResult(_nonnegative(gamma, lam, mu, nu), provenance, moves)
 
 
 def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) -> KroneckerResult:
@@ -324,8 +305,9 @@ def compute(lam: Partition, mu: Partition, nu: Partition, method: str = AUTO) ->
     slot classes match a closed form, falling back to the character oracle
     when none does.  The classes of the six shapes (lam, mu, nu and their
     conjugates) are read from the three shapes' shape_code attributes, which
-    their constructors set; their signature looks up that variant and its
-    closed form, and _closed_answer applies it.
+    their constructors set; _candidate walks the variants once per
+    signature to find that variant and its closed form, and _closed_answer
+    applies it.
     closed: like auto but raise NoClosedFormApplicable instead of falling back.
     oracle: always evaluate the character sum.
 

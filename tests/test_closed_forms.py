@@ -35,7 +35,9 @@ from kroncoef import (
 )
 from kroncoef import closed_forms
 from kroncoef.characters import ORACLE, KroneckerResult
-from kroncoef.closed_forms import _VARIANTS, InvariantViolation
+from kroncoef.closed_forms import InvariantViolation
+
+from test_dispatch import reference_variants
 
 
 def oracle(lam, mu, nu):
@@ -50,14 +52,6 @@ def hooks_of(n):
 def two_rows_of(n):
     """The shapes (n - j, j) of n > 0, in enumeration order."""
     return [make_partition([n - j, j]) for j in range(n // 2 + 1)] if n else []
-
-
-def table_variants(lam, mu, nu):
-    """Every entry of the symmetry table applied to the triple, as
-    (lam, mu, nu, moves)."""
-    shapes = (lam, mu, nu, conjugate(lam), conjugate(mu), conjugate(nu))
-    for sources, moves in _VARIANTS:
-        yield (*(shapes[s] for s in sources), moves)
 
 
 def apply_moves(lam, mu, nu, moves):
@@ -518,7 +512,7 @@ class TestCompute:
         ]
         for lam, mu, nu in triples:
             result = compute(lam, mu, nu, AUTO)
-            for *shapes, moves in table_variants(lam, mu, nu):
+            for *shapes, moves in reference_variants(lam, mu, nu):
                 if moves == result.moves:
                     assert apply_moves(lam, mu, nu, moves) == tuple(shapes)
                     break
@@ -530,7 +524,7 @@ class TestCompute:
         mu = make_partition([3, 2, 2])
         nu = make_partition([5, 1, 1])
         seen = set()
-        for *shapes, moves in table_variants(lam, mu, nu):
+        for *shapes, moves in reference_variants(lam, mu, nu):
             assert apply_moves(lam, mu, nu, moves) == tuple(shapes)
             seen.add((*(p.parts for p in shapes), moves))
         assert len(seen) == 24
@@ -639,7 +633,7 @@ class TestSymmetryInvariance:
     def test_gamma_is_the_same_on_all_24_presentations(self, triple):
         # two-row or hook mu and nu: a closed form answers every presentation
         gamma = compute(*triple, CLOSED_ONLY).gamma
-        for *shapes, _ in table_variants(*triple):
+        for *shapes, _ in reference_variants(*triple):
             assert compute(*shapes, CLOSED_ONLY).gamma == gamma, shapes
 
 

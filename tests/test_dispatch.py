@@ -22,12 +22,7 @@ from kroncoef.characters import (
     TWO_ROW_TWO_ROW,
     KroneckerResult,
 )
-from kroncoef.closed_forms import (
-    _VARIANTS,
-    kron_hook_tworow,
-    kron_two_hooks,
-    kron_two_tworow,
-)
+from kroncoef.closed_forms import kron_hook_tworow, kron_two_hooks, kron_two_tworow
 from kroncoef.partitions import conjugate, hook_parts, two_row_parts
 
 # The documented order, written out here rather than read from closed_forms:
@@ -37,24 +32,54 @@ CONJ_PATTERNS = (None, (0, 1), (0, 2), (1, 2))
 PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
-def reference_variants(lam, mu, nu):
-    """All 24 symmetry variants as (lam, mu, nu, moves), in the documented
+# Each form's provenance and the class bits it needs of (lam, mu, nu), most
+# specific first, in the layout test_shape_code_matches_the_readers checks:
+# one-row 1, two-row 2, hook 4.
+FORM_BITS = (
+    (DELTA_RULE, 1, 0, 0),
+    (TWO_ROW_TWO_ROW, 0, 2, 2),
+    (HOOK_HOOK, 0, 4, 4),
+    (HOOK_TWO_ROW, 0, 4, 2),
+)
+
+
+def reference_order():
+    """All 24 symmetry variants as (sources, moves), in the documented
     deterministic order: the plain permutations first (identity leading),
-    then each pairwise-conjugation pattern crossed with the permutations."""
-    original = (lam, mu, nu)
-    conjugated = (conjugate(lam), conjugate(mu), conjugate(nu))
+    then each pairwise-conjugation pattern crossed with the permutations.
+    sources fill the three slots from (lam, mu, nu, lam', mu', nu')."""
     for pattern in CONJ_PATTERNS:
         for perm in PERMUTATIONS:
-            triple = [original[s] for s in perm]
+            sources = list(perm)
             moves = ()
             if perm != (0, 1, 2):
                 moves += (f"permute({perm[0]},{perm[1]},{perm[2]})",)
             if pattern is not None:
                 i, j = pattern
-                triple[i] = conjugated[perm[i]]
-                triple[j] = conjugated[perm[j]]
+                sources[i] += 3
+                sources[j] += 3
                 moves += (f"conjugate({i},{j})",)
-            yield triple[0], triple[1], triple[2], moves
+            yield tuple(sources), moves
+
+
+def reference_variants(lam, mu, nu):
+    """All 24 symmetry variants as (lam, mu, nu, moves), in the documented
+    order of reference_order."""
+    shapes = (lam, mu, nu, conjugate(lam), conjugate(mu), conjugate(nu))
+    for (i, j, k), moves in reference_order():
+        yield shapes[i], shapes[j], shapes[k], moves
+
+
+def reference_candidate(codes):
+    """(sources, moves, provenance) of the first variant whose slot classes
+    hold a row of FORM_BITS, for three shape codes, or None."""
+    classes = [code & 7 for code in codes] + [code >> 9 for code in codes]
+    for sources, moves in reference_order():
+        slots = [classes[s] for s in sources]
+        for provenance, *bits in FORM_BITS:
+            if all(c & b == b for c, b in zip(slots, bits)):
+                return sources, moves, provenance
+    return None
 
 
 def reference_match(variant):
@@ -95,11 +120,19 @@ def gate(n_max):
     return checked
 
 
-def test_variant_table_is_in_the_documented_order():
-    # the moves are part of compute's answer, so a reordered table changes
-    # the contract; the walker builds them without looking at the shapes
-    p = make_partition([1])
-    assert tuple(v.moves for v in _VARIANTS) == tuple(m for *_, m in reference_variants(p, p, p))
+def test_candidate_is_the_first_match_in_the_documented_order():
+    # the moves are part of compute's answer, so a reordered walk changes
+    # the contract; every signature of the shape codes met at n <= 12
+    codes = sorted({p.shape_code for n in range(13) for p in enumerate_partitions(n)})
+    assert len(codes) == 14
+    found = set()
+    for a in codes:
+        for b in codes:
+            for c in codes:
+                expected = reference_candidate((a, b, c))
+                assert closed_forms._candidate(a | b << 3 | c << 6) == expected, (a, b, c)
+                found.add(expected and expected[2])
+    assert found == {None, DELTA_RULE, TWO_ROW_TWO_ROW, HOOK_HOOK, HOOK_TWO_ROW}
 
 
 def test_shape_code_matches_the_readers():
